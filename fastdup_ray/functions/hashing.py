@@ -48,37 +48,8 @@ def to_i63(h: np.ndarray) -> np.ndarray:
     return (np.asarray(h, dtype=np.uint64) >> np.uint64(1)).astype(np.int64)
 
 
-# Powers of the FNV-64 prime for the vectorized polynomial string hash:
-# B^e (mod 2^64) for any e < 2^32 via four 256-entry table gathers.
+# FNV-64 prime: the base of the hash-v2 polynomial string hash.
 _B = np.uint64(0x100000001B3)
-
-
-def _build_pow_tables():
-    tables = []
-    base = _B
-    with np.errstate(over="ignore"):
-        for _ in range(4):
-            t = np.ones(256, dtype=np.uint64)
-            for i in range(1, 256):
-                t[i] = t[i - 1] * base
-            tables.append(t)
-            base = t[255] * base
-    return tables
-
-
-_PT1, _PT2, _PT3, _PT4 = _build_pow_tables()
-
-
-def _pow_b(exp: np.ndarray) -> np.ndarray:
-    """B**exp mod 2^64, vectorized, exp int64 < 2^32."""
-    e = exp.astype(np.int64)
-    with np.errstate(over="ignore"):
-        return (
-            _PT1[e & 0xFF]
-            * _PT2[(e >> 8) & 0xFF]
-            * _PT3[(e >> 16) & 0xFF]
-            * _PT4[(e >> 24) & 0xFF]
-        )
 
 
 def string_bytes_view(arr):
@@ -112,6 +83,21 @@ def string_bytes_view(arr):
     return data, offsets
 
 
+def split_whitespace(texts):
+    """pyarrow.compute.utf8_split_whitespace of a string array, made
+    deterministic. The kernel reads the byte after each string, and a
+    UTF-8 continuation byte there glues the string's trailing whitespace
+    onto its last token; after the last string that byte is unset buffer
+    padding. Tokenizing a copy followed by one ASCII sentinel string keeps
+    every string followed by a valid start byte. Returns the list array
+    sliced to ``texts``' rows."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    padded = pa.concat_arrays([texts, pa.array(["x"], texts.type)])
+    return pc.utf8_split_whitespace(padded).slice(0, len(texts))
+
+
 def hash64_segmented(data: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """The hash-v2 kernel over pre-concatenated utf-8 bytes: one uint64 hash
     per segment data[offsets[i]:offsets[i+1]]. Fully vectorized — this is
@@ -125,14 +111,17 @@ def hash64_segmented(data: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     if hi > lo:
         seg = data[lo:hi].astype(np.uint64)
         rel = offsets - lo
+        # B^0..B^(L-1) for the longest segment L (wrapping uint64 products)
+        pows = np.full(int(lens.max()), _B, dtype=np.uint64)
+        pows[0] = 1
+        np.multiply.accumulate(pows, out=pows)
         # exponent of each byte = (distance from its segment's end) - 1
-        ends = np.repeat(rel[1:], lens)
-        exp = ends - 1 - np.arange(hi - lo, dtype=np.int64)
-        with np.errstate(over="ignore"):
-            contrib = seg * _pow_b(exp)
+        exp = np.repeat(rel[1:] - 1, lens)
+        exp -= np.arange(hi - lo, dtype=np.int64)
+        seg *= pows[exp]
         nonempty = lens > 0
         # reduceat misbehaves on empty segments; sum only the non-empty ones
-        poly[nonempty] = np.add.reduceat(contrib, rel[:-1][nonempty])
+        poly[nonempty] = np.add.reduceat(seg, rel[:-1][nonempty])
     # FNV offset basis in the length salt keeps '' away from mix64's
     # zero fixed point
     with np.errstate(over="ignore"):

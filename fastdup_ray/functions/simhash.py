@@ -7,14 +7,22 @@ fingerprints; candidate pairing buckets fingerprints on 16-bit quarters
 (pigeonhole: hamming <= 3 implies at least one identical quarter).
 
 Segment-vectorized like the MinHash kernel: one token-hash pass over the
-batch, then `np.add.reduceat` per document over the 64 bit-columns.
+batch, then a chunked `np.add.reduceat` per document over the 64
+bit-columns.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from fastdup_ray.functions.hashing import hash64_segmented, string_bytes_view
+from fastdup_ray.functions.hashing import (
+    hash64_segmented,
+    split_whitespace,
+    string_bytes_view,
+)
+
+# tokens per vote chunk (see simhash64)
+_VOTE_CHUNK = 8192
 
 
 def simhash64(texts) -> np.ndarray:
@@ -22,12 +30,11 @@ def simhash64(texts) -> np.ndarray:
 
     Accepts a pyarrow string array (fast path) or a list of str. The whole
     batch is tokenized by Arrow's C utf8_split_whitespace kernel (Unicode
-    whitespace, same class as str.split) and every token hashed in one
-    segmented numpy pass over the shared bytes buffer — no per-token
-    Python string is ever created.
+    whitespace, same class as str.split; see hashing.split_whitespace)
+    and every token hashed in one segmented numpy pass over the shared
+    bytes buffer — no per-token Python string is ever created.
     """
     import pyarrow as pa
-    import pyarrow.compute as pc
 
     if isinstance(texts, pa.ChunkedArray):
         texts = texts.combine_chunks()
@@ -37,14 +44,10 @@ def simhash64(texts) -> np.ndarray:
     out = np.zeros(n, dtype=np.uint64)
     if n == 0:
         return out
-    toks = pc.utf8_split_whitespace(texts)
-    if isinstance(toks, pa.ChunkedArray):
-        toks = toks.combine_chunks()
+    toks = split_whitespace(texts)
     # list offsets -> raw (possibly empty-string) token counts per doc
-    loff = np.asarray(toks.offsets, dtype=np.int64)
-    raw_counts = np.diff(loff)
-    flat = toks.values  # flat token string array (offset 0, freshly built)
-    data, toff = string_bytes_view(flat)
+    raw_counts = np.diff(np.asarray(toks.offsets, dtype=np.int64))
+    data, toff = string_bytes_view(toks.flatten())
     tok_lens = np.diff(toff)
     # Arrow's split emits empty tokens at edges / between whitespace runs;
     # str.split() does not — drop them (zero-length, so hashing them first
@@ -56,29 +59,25 @@ def simhash64(texts) -> np.ndarray:
     counts = np.bincount(doc_of_tok, minlength=n).astype(np.int64)
     if h.shape[0] == 0:
         return out
-    # Per-doc bit votes: 64 weighted bincounts over the token->doc map.
-    # This replaces an unpackbits + add.reduceat(axis=0) pass, which was
-    # 4x slower (reduceat's axis-0 inner loop is strided) and allocated a
-    # (tokens, 64) bit matrix — ~64 B per text byte, hundreds of MB per
-    # batch. Column order keeps unpackbits' byte-wise big-endian layout
-    # (bit 8*(c//8) + 7-c%8 of the hash votes for output bit c) so
-    # fingerprint VALUES are bit-identical to the previous kernel — the
-    # fixed test vectors and any checkpointed simhash columns survive.
-    # The mapping permutes only within bytes, so quarters/hamming were
-    # never at risk; value identity is for checkpoint compatibility.
-    ones = np.empty((n, 64), dtype=np.int64)
-    one = np.uint64(1)
-    for c in range(64):
-        b = np.uint64(8 * (c // 8) + (7 - c % 8))
-        w = ((h >> b) & one).astype(np.float64)
-        ones[:, c] = np.bincount(doc_of_tok, weights=w, minlength=n)
+    # Per-doc bit votes: unpackbits turns each token hash into 64 0/1
+    # columns and a segment add.reduceat over the doc-sorted tokens sums
+    # them per doc. Column c of unpackbits' byte-wise big-endian layout
+    # is bit 8*(c//8) + 7-c%8 of the hash, and it votes for output bit c,
+    # so fingerprint VALUES stay those of every earlier kernel (pinned by
+    # the golden vectors; checkpointed simhash columns survive). Chunks
+    # of _VOTE_CHUNK tokens keep the (tokens, 64) bit matrix and the
+    # int32 reduce buffer at ~2 MB each, arena-resident across chunks.
+    ones = np.zeros((n, 64), dtype=np.int32)
+    for lo in range(0, h.shape[0], _VOTE_CHUNK):
+        docs = doc_of_tok[lo : lo + _VOTE_CHUNK]
+        chunk = h[lo : lo + _VOTE_CHUNK].view(np.uint8).reshape(-1, 8)
+        bits = np.unpackbits(chunk, axis=1)
+        starts = np.flatnonzero(np.diff(docs, prepend=-1))
+        ones[docs[starts]] += np.add.reduceat(bits, starts, axis=0, dtype=np.int32)
     # majority vote: bit set iff strictly more ones than zeros (empty
     # docs have counts 0 -> all bits 0 -> fingerprint 0)
-    fp_bits = (2 * ones > counts[:, None]).astype(np.uint64)
-    out = (fp_bits << np.arange(64, dtype=np.uint64)[None, :]).sum(
-        axis=1, dtype=np.uint64
-    )
-    return out
+    fp_bits = 2 * ones > counts[:, None]
+    return np.packbits(fp_bits, axis=1, bitorder="little").view("<u8").ravel()
 
 
 def hamming64(a: np.ndarray, b: np.ndarray) -> np.ndarray:

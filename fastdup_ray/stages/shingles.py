@@ -27,63 +27,37 @@ class ShingleSetStage:
             batch = batch.filter(batch["is_valid"])
         texts = batch["text"]  # Arrow array — shingled zero-copy
         h, off = segmented_shingle_hashes(texts, self.cfg.shingle_size)
-        keep, sets = sets_from_hashes(h, off, len(texts))
-        if sets is None:
-            return pa.table(
-                {"doc_id": pa.array([], pa.int64()),
-                 "shingles": pa.array([], pa.list_(pa.uint32()))}
-            )
-        return pa.table(
-            {"doc_id": batch["doc_id"].filter(pa.array(keep)), "shingles": sets}
-        )
+        values, offsets = unique_sets(h, off, len(texts))
+        keep = np.diff(offsets) > 0
+        return pa.table({"doc_id": batch["doc_id"].filter(pa.array(keep)),
+                         "shingles": sets_array(values, offsets, keep)})
 
 
-def sets_from_hashes(h: np.ndarray, off: np.ndarray, n: int):
+def unique_sets(h: np.ndarray, off: np.ndarray, n: int):
     """Sorted-unique shingle set per doc, no per-doc Python loop: prefix
     each hash with its doc index, one in-place uint64 sort, run-length
-    unique. Returns (keep bool[n] — docs with >=1 shingle,
-    sets list<uint32> ListArray over kept docs) or (None, None) when the
-    batch has no shingles at all."""
-    if h.shape[0] == 0:
-        return None, None
+    unique. Returns (values uint32[total], offsets int64[n+1]); docs
+    without shingles get empty ranges."""
     doc_of = np.repeat(np.arange(n, dtype=np.uint64), np.diff(off))
     key = (doc_of << np.uint64(32)) | h.astype(np.uint64)
     key.sort()
     uniq = np.ones(key.shape[0], dtype=bool)
     uniq[1:] = key[1:] != key[:-1]
     ku = key[uniq]
-    values = (ku & np.uint64(0xFFFFFFFF)).astype(np.uint32)
-    sizes = np.bincount((ku >> np.uint64(32)).astype(np.int64), minlength=n)
-    keep = sizes > 0
-    offsets = np.zeros(int(keep.sum()) + 1, dtype=np.int32)
-    np.cumsum(sizes[keep], out=offsets[1:])
-    sets = pa.ListArray.from_arrays(
-        pa.array(offsets, pa.int32()), pa.array(values, pa.uint32())
-    )
-    return keep, sets
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount((ku >> np.uint64(32)).astype(np.int64), minlength=n),
+              out=offsets[1:])
+    return (ku & np.uint64(0xFFFFFFFF)).astype(np.uint32), offsets
 
 
-def sets_from_hashes_all(h: np.ndarray, off: np.ndarray, n: int) -> pa.ListArray:
-    """`sets_from_hashes` variant emitting a row for EVERY doc (zero-shingle
-    docs get an empty list) — the keep_docs/docsig layout where signature
-    columns stay row-aligned with the docs columns."""
-    if h.shape[0] == 0:
-        return pa.ListArray.from_arrays(
-            pa.array(np.zeros(n + 1, np.int32), pa.int32()),
-            pa.array(np.empty(0, np.uint32), pa.uint32()),
-        )
-    doc_of = np.repeat(np.arange(n, dtype=np.uint64), np.diff(off))
-    key = (doc_of << np.uint64(32)) | h.astype(np.uint64)
-    key.sort()
-    uniq = np.ones(key.shape[0], dtype=bool)
-    uniq[1:] = key[1:] != key[:-1]
-    ku = key[uniq]
-    values = (ku & np.uint64(0xFFFFFFFF)).astype(np.uint32)
-    sizes = np.bincount((ku >> np.uint64(32)).astype(np.int64), minlength=n)
-    offsets = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(sizes, out=offsets[1:])
+def sets_array(values: np.ndarray, offsets: np.ndarray,
+               keep: np.ndarray | None = None) -> pa.ListArray:
+    """list<uint32> column of `unique_sets` output: a row for every doc,
+    or only for the docs in `keep` (which may drop empty sets only)."""
+    if keep is not None:
+        offsets = np.concatenate([offsets[:1], offsets[1:][keep]])
     return pa.ListArray.from_arrays(
-        pa.array(offsets, pa.int32()), pa.array(values, pa.uint32())
+        pa.array(offsets.astype(np.int32), pa.int32()), pa.array(values, pa.uint32())
     )
 
 

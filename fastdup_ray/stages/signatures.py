@@ -17,7 +17,7 @@ from fastdup_ray.config import DedupConfig
 from fastdup_ray.functions.hashing import segmented_shingle_hashes, to_i63
 from fastdup_ray.functions.minhash import MinHasher, band_buckets, make_signer
 from fastdup_ray.functions.simhash import simhash64
-from fastdup_ray.stages.shingles import sets_from_hashes, sets_from_hashes_all
+from fastdup_ray.stages.shingles import sets_array, unique_sets
 
 
 class SignStage:
@@ -59,12 +59,18 @@ class SignStage:
 
             texts = pc.if_else(batch["is_valid"], texts, pa.scalar(""))
         h, off = segmented_shingle_hashes(texts, self.cfg.shingle_size)
-        sig, n_shingles = self.mh.signatures_from_hashes(h, off)
+        # a minimum over a set equals the minimum over the multiset, so
+        # signing the unique shingles gives the same signature from
+        # fewer hashes; n_shingles stays the raw shingle count
+        values, uoff = unique_sets(h, off, len(texts))
+        sig, _ = self.mh.signatures_from_hashes(values, uoff)
+        n_shingles = np.diff(off)
         sh = simhash64(texts)
         if self.keep_docs:
             keep = np.ones(len(texts), dtype=bool)
             cols = {name: batch[name] for name in batch.column_names}
         else:
+            # a doc has >=1 raw shingle iff it has >=1 unique shingle
             keep = n_shingles > 0
             cols = {"doc_id": batch["doc_id"].filter(pa.array(keep))}
         sig = sig[keep]
@@ -76,14 +82,9 @@ class SignStage:
         cols["simhash"] = pa.array(sh[keep].view(np.int64), pa.int64())
         cols["n_shingles"] = pa.array(n_shingles[keep], pa.int64())
         if self.emit_shingles:
-            if self.keep_docs:
-                cols["shingles"] = sets_from_hashes_all(h, off, len(texts))
-            else:
-                keep2, sets = sets_from_hashes(h, off, len(texts))
-                # same rows: a doc has >=1 raw shingle iff >=1 unique shingle
-                cols["shingles"] = (
-                    sets if sets is not None else pa.array([], pa.list_(pa.uint32()))
-                )
+            cols["shingles"] = sets_array(
+                values, uoff, None if self.keep_docs else keep
+            )
         return pa.table(cols)
 
 

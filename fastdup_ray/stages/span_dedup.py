@@ -158,7 +158,7 @@ def _rebuild_batch(batch: pa.Table, window: int, kill_docs: np.ndarray,
     kill rows to batch rows via one searchsorted, mark the killed
     windows' token positions False in ONE keep-mask over the batch's
     flat token stream, then Arrow-filter the flat tokens, rebuild the
-    list offsets from per-doc kept counts and space-join. A doc's
+    list offsets from the kept-token prefix counts and space-join. A doc's
     trailing <window tokens are never inside a full window, so the
     default-True mask keeps them — identical semantics to the old
     body+trailer join (the output is exactly ' '.join of the kept
@@ -186,11 +186,13 @@ def _rebuild_batch(batch: pa.Table, window: int, kill_docs: np.ndarray,
     keep = np.ones(int(off_rel[-1]), dtype=bool)
     killpos = (off_rel[rows] + wins * window)[:, None] + np.arange(window)
     keep[killpos.ravel()] = False
-    new_counts = np.add.reduceat(keep, off_rel[:-1])
-    new_off = np.zeros(n + 1, np.int32)
-    new_off[1:] = np.cumsum(new_counts, dtype=np.int64)
-    new_list = pa.ListArray.from_arrays(
-        pa.array(new_off, pa.int32()), flat.filter(pa.array(keep)))
+    # kept-token prefix counts read at the old offsets: a null text row
+    # (zero tokens, equal adjacent offsets) keeps zero tokens and stays null
+    kept = np.zeros(keep.shape[0] + 1, np.int64)
+    np.cumsum(keep, out=kept[1:])
+    new_list = type(toks).from_arrays(
+        pa.array(kept[off_rel], toks.offsets.type),
+        flat.filter(pa.array(keep)), mask=toks.is_null())
     return pa.table({
         "doc_id": batch["doc_id"],
         "text_clean": pc.binary_join(new_list, " "),

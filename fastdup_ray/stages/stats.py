@@ -35,6 +35,8 @@ import re
 import numpy as np
 import pyarrow as pa
 
+from fastdup_ray.functions.hashing import split_whitespace
+
 _STOPWORDS = {
     "en": {"the", "and", "of", "to", "a", "in", "is", "it", "that", "for", "on",
            "with", "as", "this", "was", "are", "be", "at", "by", "or", "an"},
@@ -153,7 +155,7 @@ class TextStatsStage:
 
         # split_whitespace emits EMPTY tokens for leading/trailing/run
         # whitespace (unlike str.split); drop them before any counting
-        toks = pc.utf8_split_whitespace(texts)
+        toks = split_whitespace(texts)
         raw_counts = (
             pc.list_value_length(toks).to_numpy(zero_copy_only=False).astype(np.int64)
         )

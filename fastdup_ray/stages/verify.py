@@ -25,7 +25,7 @@ import numpy as np
 import pyarrow as pa
 
 from fastdup_ray.config import DedupConfig
-from fastdup_ray.functions.hashing import hash64_segmented
+from fastdup_ray.functions.hashing import mix64
 from fastdup_ray.relational.ops import cogroup_join, with_schema
 from fastdup_ray.stages.shingles import ShingleSetStage, list_column_arrays
 from fastdup_ray.stages.signatures import signatures_to_matrix
@@ -94,8 +94,9 @@ class _SetIndex:
         self.perm = perm
         self.offsets = offsets
         self.values = values
-        # per-doc uint64 hash of the packed set bytes (ingest order, like
-        # offsets): lets equal-set pairs short-circuit to J=1.0
+        # per-doc uint64 fingerprint of the set (ingest order, like
+        # offsets; see _set_fingerprints): equal sets have equal
+        # fingerprints, so equal-set pairs can short-circuit to J=1.0
         self.hashes = (
             hashes if hashes is not None
             else np.zeros(max(0, offsets.shape[0] - 1), np.uint64)
@@ -132,6 +133,19 @@ def _binary_column_flat(col) -> tuple[np.ndarray, np.ndarray]:
     data = np.frombuffer(bufs[2], np.uint8) if bufs[2] is not None else np.empty(0, np.uint8)
     values = data[start : int(byte_offs[-1])].view(np.uint32)
     return values, ((byte_offs.astype(np.int64) - start) // 4)
+
+
+def _set_fingerprints(values: np.ndarray, offs: np.ndarray) -> np.ndarray:
+    """Per-doc uint64 sum of mix64(value) over each range
+    values[offs[i]:offs[i+1]] (0 for an empty range). Equal sets give
+    equal fingerprints; distinct sets that collide are caught by
+    _confirm_equal_ranges, which compares every candidate byte for byte."""
+    lens = np.diff(offs)
+    fp = np.zeros(lens.shape[0], dtype=np.uint64)
+    nonempty = lens > 0
+    if nonempty.any():
+        fp[nonempty] = np.add.reduceat(mix64(values), offs[:-1][nonempty])
+    return fp
 
 
 def _build_index_shards(packed, bin_col: str, num_shards: int):
@@ -178,10 +192,7 @@ def _build_index_shards(packed, bin_col: str, num_shards: int):
             values, offs = _binary_column_flat(t[bin_col])
             len_parts.append(np.diff(offs))
             val_parts.append(np.asarray(values))
-            # per-doc hash of the packed bytes: equal sets -> equal hash
-            hash_parts.append(
-                hash64_segmented(values.view(np.uint8), offs * 4)
-            )
+            hash_parts.append(_set_fingerprints(values, offs))
         if not id_parts:
             return empty
         ids = np.concatenate(id_parts)
@@ -235,8 +246,8 @@ def _confirm_equal_ranges(vals_a, sa, vals_b, sb, lens) -> np.ndarray:
     """Vectorized memcmp of aligned equal-length ranges:
     out[i] = (vals_a[sa[i]:sa[i]+lens[i]] == vals_b[sb[i]:sb[i]+lens[i]]).
 
-    Used to CONFIRM the equal-hash short-circuit with real bytes — the
-    polynomial/FNV set hash is not adversarially collision-resistant, so
+    Used to CONFIRM the equal-fingerprint short-circuit with real bytes —
+    the additive set fingerprint is not adversarially collision-resistant, so
     crafted distinct documents in an untrusted web corpus could otherwise
     be scored as exact duplicates (ADVICE r2). Cost is O(matched bytes)
     only for near-certain duplicates; chunked like _exact_scores_block so
@@ -270,9 +281,11 @@ def _exact_scores_block(vals_a, sa, ea, vals_b, sb, eb, out, out_rows) -> None:
 
     Both sides are sorted-unique uint32 sets. Key trick: prefix each
     element with its pair index ((i << 32) | value) — each side's keyed
-    concatenation is then GLOBALLY sorted, so one np.searchsorted of all
-    A-elements into the B-keys computes every pairwise intersection with
-    zero per-pair Python. Sub-chunked to bound gather memory.
+    concatenation is then GLOBALLY sorted, so one stable sort of the two
+    runs (a linear timsort merge) puts every shared element next to its
+    twin, and one segment add.reduceat of the adjacent-equal mask counts
+    every pairwise intersection with zero per-pair Python. Sub-chunked to
+    bound gather memory.
     """
     lens_a = ea - sa
     lens_b = eb - sb
@@ -289,23 +302,26 @@ def _exact_scores_block(vals_a, sa, ea, vals_b, sb, eb, out, out_rows) -> None:
         lb = lens_b[lo:hi]
         m = hi - lo
         seg = np.arange(m, dtype=np.uint64) << np.uint64(32)
-        idx_a = _gather_ranges(sa[lo:hi], la)
-        idx_b = _gather_ranges(sb[lo:hi], lb)
-        seg_a = np.repeat(np.arange(m, dtype=np.int64), la)
-        keyed_a = np.repeat(seg, la) | vals_a[idx_a].astype(np.uint64)
-        keyed_b = np.repeat(seg, lb) | vals_b[idx_b].astype(np.uint64)
-        pos = np.searchsorted(keyed_b, keyed_a)
-        pos_c = np.minimum(pos, max(keyed_b.shape[0] - 1, 0))
-        found = (
-            (pos < keyed_b.shape[0]) & (keyed_b[pos_c] == keyed_a)
-            if keyed_b.shape[0]
-            else np.zeros(keyed_a.shape[0], dtype=bool)
-        )
-        inter = np.bincount(seg_a[found], minlength=m)
+        na = int(la.sum())
+        keyed = np.empty(budget, dtype=np.uint64)
+        keyed[:na] = vals_a[_gather_ranges(sa[lo:hi], la)]
+        keyed[:na] |= np.repeat(seg, la)
+        keyed[na:] = vals_b[_gather_ranges(sb[lo:hi], lb)]
+        keyed[na:] |= np.repeat(seg, lb)
+        keyed.sort(kind="stable")
+        # sets are unique per side, so an adjacent equal key is one shared
+        # element; keys of different pairs never compare equal
+        eq = np.zeros(budget, dtype=np.uint8)
+        np.equal(keyed[1:], keyed[:-1], out=eq[:-1].view(bool))
+        t = tot[lo:hi]
+        nonempty = t > 0
+        inter = np.zeros(m, dtype=np.int64)
+        if nonempty.any():
+            starts = np.cumsum(t) - t
+            inter[nonempty] = np.add.reduceat(eq, starts[nonempty], dtype=np.int32)
         union = la + lb - inter
-        nz = union > 0
         res = np.zeros(m, dtype=np.float64)
-        res[nz] = inter[nz] / union[nz]
+        np.divide(inter, union, out=res, where=union > 0)
         out[out_rows[lo:hi]] = res
         lo = hi
 
@@ -373,9 +389,9 @@ def _broadcast_verify(pairs, shard_refs, router_ref, *, is_signature: bool,
             sa, ea, ha = idx_s.lookup(src[rows])
             sb, eb, hb = idx_d.lookup(dst[rows])
             if not is_signature:
-                # equal packed-set hash + equal nonzero length selects
+                # equal set fingerprint + equal nonzero length selects
                 # CANDIDATE exact-dup endpoints; a real byte comparison
-                # confirms before assigning J=1.0 (the hash alone is not
+                # confirms before assigning J=1.0 (the fingerprint is not
                 # adversarially collision-resistant — crafted collisions
                 # in an untrusted corpus must not merge components).
                 # Unconfirmed rows fall through to the full intersection.

@@ -210,6 +210,27 @@ def test_simhash_arrow_tokenizer_matches_str_split():
     assert np.array_equal(simhash64(pa.array(texts)), got)
 
 
+def test_split_whitespace_ignores_the_byte_after_a_string():
+    """Arrow's utf8_split_whitespace reads the byte after each string. A
+    UTF-8 continuation byte there (after the last string of an array it
+    is unset buffer padding) glued the string's trailing whitespace onto
+    its last token, so simhash64 of the last docs of a batch was
+    nondeterministic."""
+    import pyarrow as pa
+
+    from fastdup_ray.functions.hashing import split_whitespace
+
+    for text in ["a b\t", "  ", " c ", "\t", "été\u3000"]:
+        raw = text.encode("utf-8")
+        for tail in (b"\x80", b"\xbf", b"\xff", b"x"):
+            arr = pa.Array.from_buffers(pa.string(), 1, [
+                None, pa.py_buffer(np.array([0, len(raw)], np.int32).tobytes()),
+                pa.py_buffer(raw + tail)])
+            toks = split_whitespace(arr).to_pylist()[0]
+            assert [t for t in toks if t] == text.split(), (text, tail, toks)
+            assert simhash64(arr)[0] == simhash64([text])[0], (text, tail)
+
+
 def test_emit_partition_matches_per_bucket_reference():
     """The vectorized LSH pair emitter must produce exactly the per-bucket
     reference semantics: full clique (src<dst) for buckets <= cap, star
@@ -358,3 +379,106 @@ def test_hll_accuracy_and_split_invariance():
     for part in np.array_split(h, 7):
         merged = np.maximum(merged, regs_of(part))
     assert (merged == full).all()
+
+
+# ---------------------------------------------------------------- golden
+# Fixed outputs of the hash-v2, SimHash, MinHash/OPH and SignStage kernels,
+# captured once and pinned forever: doc_ids, signatures and fingerprints
+# are persisted in checkpoints, so a kernel rewrite must reproduce these
+# values bit for bit.
+
+def _golden_corpus() -> list[str]:
+    """Deterministic corpus from a pure-Python LCG (no numpy RNG, so the
+    inputs cannot drift with a library upgrade): short, empty,
+    whitespace-only and non-ASCII docs, docs with heavily repeated
+    shingles, and one doc long enough to cross a SimHash chunk."""
+    words = ["alpha", "beta", "gamma", "delta", "été", "中文", "naïve",
+             "x", "yy", "zzz", "data", "join", "sort", "merge", "key"]
+    state = 12345
+
+    def nxt(m: int) -> int:
+        nonlocal state
+        state = (state * 6364136223846793005 + 1442695040888963407) % 2**64
+        return (state >> 33) % m
+
+    docs = ["", "   ", "abc", "abcde", "a\tb\nc  d", "é" * 7, "中文 中文 中文"]
+    for i in range(40):
+        docs.append(" ".join(words[nxt(len(words))] for _ in range(nxt(120) + 1)))
+    docs.append("repeat " * 300)
+    docs.append(" ".join(words[nxt(len(words))] for _ in range(9000)))
+    return docs
+
+
+def _digest(*arrays) -> str:
+    import hashlib
+
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(str((a.dtype.str, a.shape)).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()[:32]
+
+
+def _sign_table_digest(t) -> str:
+    from fastdup_ray.stages.shingles import list_column_arrays
+    from fastdup_ray.stages.signatures import signatures_to_matrix
+
+    ids, sig = signatures_to_matrix(t)
+    parts = [ids, sig, t["simhash"].to_numpy(), t["n_shingles"].to_numpy()]
+    if "shingles" in t.column_names:
+        parts += list(list_column_arrays(t["shingles"]))
+    return _digest(*parts)
+
+
+GOLDEN_STRINGS = ["", "a", "hello world", "é中文 café", "tab\tsep",
+                  " lead", "\x00nul", "ü" * 33, "abc" * 30_000,
+                  "🦀 emoji", "x" * 65_537]
+GOLDEN_HASH64 = [
+    "c70b7d317e33bf45", "2b0db45306767a4d", "72f7b4322099d0f0",
+    "a9ac962f931a365e", "6a7fac73634161f8", "8f31836488284d53",
+    "636f6d8207f1178b", "3a8463c7119b83ab", "b4e79628c79b9a7c",
+    "35d69b3c5b405a04", "53da7e419f4b5e11",
+]
+GOLDEN_SIMHASH = "4f1f796bc7118cc4c7c39ee8409fe99b"
+GOLDEN_MINHASH = "403b0ca1b54d400f2527b950b4b69556"
+GOLDEN_OPH = "87221b3443106916ffa9954ee536ed61"
+GOLDEN_SIGNSTAGE = {
+    ("minhash", False): "771863e1ee99145549fc31f13fd6d9fd",
+    ("oph", False): "d3fc1689dbeef3d75e362cb0c8a9a742",
+    ("minhash", True): "365f162de24a8fc77abfc9d2952ea9b7",
+}
+
+
+def test_golden_hash64_strings():
+    got = [f"{int(v):016x}" for v in hash64_strings(GOLDEN_STRINGS)]
+    assert got == GOLDEN_HASH64
+
+
+def test_golden_simhash64():
+    assert _digest(simhash64(_golden_corpus())) == GOLDEN_SIMHASH
+
+
+def test_golden_minhash_and_oph_signatures():
+    from fastdup_ray.functions.minhash import OnePermMinHasher
+
+    docs = _golden_corpus()
+    assert _digest(*MinHasher(5, 128, 42).signatures(docs)) == GOLDEN_MINHASH
+    assert _digest(*OnePermMinHasher(5, 128, 42).signatures(docs)) == GOLDEN_OPH
+
+
+@pytest.mark.parametrize("signer,keep_docs", list(GOLDEN_SIGNSTAGE))
+def test_golden_sign_stage(signer, keep_docs):
+    import pyarrow as pa
+
+    from fastdup_ray.config import DedupConfig
+    from fastdup_ray.stages.signatures import SignStage
+
+    docs = _golden_corpus()
+    batch = pa.table({
+        "doc_id": pa.array(np.arange(len(docs), dtype=np.int64) * 7 + 3),
+        "text": pa.array(docs, pa.string()),
+        "is_valid": pa.array([i % 11 != 5 for i in range(len(docs))]),
+    })
+    out = SignStage(DedupConfig(signer=signer), keep_docs=keep_docs)(batch)
+    assert _sign_table_digest(out) == GOLDEN_SIGNSTAGE[signer, keep_docs]

@@ -58,6 +58,25 @@ def test_rebuild_batch_matches_reference_property():
     run()
 
 
+def test_rebuild_batch_null_text_row():
+    """A null text splits into a zero-token slot (equal adjacent list
+    offsets). The rebuild must keep it null and leave every later doc of
+    the batch intact, whichever token follows the null row."""
+    batch = pa.table({
+        "doc_id": pa.array([1, 2, 3, 4], pa.int64()),
+        "text": pa.array(["a b c d e f", None, "g h i j k l", "m n o"]),
+    })
+    for kd, kw, want in [
+        ([1, 3], [0, 1], ["d e f", None, "g h i", "m n o"]),
+        ([3], [0], ["a b c d e f", None, "j k l", "m n o"]),
+        ([4], [0], ["a b c d e f", None, "g h i j k l", ""]),
+    ]:
+        got = _rebuild_batch(batch, 3, np.array(kd, np.int64),
+                             np.array(kw, np.int64))
+        assert got["doc_id"].to_pylist() == [1, 2, 3, 4]
+        assert got["text_clean"].to_pylist() == want, (kd, kw)
+
+
 def test_window_explosion_edges(ray_session):
     batch = pa.table({
         "doc_id": pa.array([1, 2, 3, 4], pa.int64()),
