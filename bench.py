@@ -116,27 +116,17 @@ def run_bench() -> dict:
     # stage silently fell back to the join path. This box (and a typical
     # cluster node) holds the sharded index comfortably; the join
     # fallback has its own equivalence test.
-    # BENCH_FUSED=1 runs extract+sign as one wide docsig stage
-    # (equivalence pytest-pinned) — measured a WASH-to-loss on this box
-    # at 2M pages (every signature consumer re-projects the wide blocks),
-    # so the split stages stay the default. BENCH_SIGNER picks the sign
-    # kernel; the bench default is one-permutation hashing (1 shingle
-    # pass instead of 128 — same 128-wide signature family over the same
-    # char-5-gram shingles). Recall gates: e2e OPH recall >=0.99 vs the
-    # exact-Jaccard oracle is pytest-pinned, and at this corpus (2M
-    # pages) OPH clusters 228,253 docs vs classic minhash's 230,037
-    # (99.2%) — precision is 1.0 either way because the verify stage
-    # rescores candidates exactly. BENCH_SIGNER=minhash restores the
-    # classic 128-permutation kernel.
-    # BENCH_ROUTE_PAIRS=1 measures the multi-node verify routing (pairs
-    # shuffled by (src_shard, dst_shard) so each verify task touches <= 2
-    # index shards); output equality with the default path is pytest-pinned
-    # (tests/test_round3.py::test_verify_route_pairs_matches_default)
+    # BENCH_SIGNER picks the sign kernel; the bench default is
+    # one-permutation hashing (1 shingle pass instead of 128 — same
+    # 128-wide signature family over the same char-5-gram shingles).
+    # Recall gates: e2e OPH recall >=0.99 vs the exact-Jaccard oracle is
+    # pytest-pinned, and at this corpus (2M pages) OPH clusters 228,253
+    # docs vs classic minhash's 230,037 (99.2%) — precision is 1.0 either
+    # way because the verify stage rescores candidates exactly.
+    # BENCH_SIGNER=minhash restores the classic 128-permutation kernel.
     cfg = DedupConfig(num_partitions=min(64, ncpu), extract_concurrency=ncpu,
                       checkpoint_stages=ckpt,
                       verify_broadcast_max_bytes=16_000_000_000,
-                      fused_extract_sign=os.environ.get("BENCH_FUSED", "0") == "1",
-                      verify_route_pairs=os.environ.get("BENCH_ROUTE_PAIRS", "0") == "1",
                       signer=os.environ.get("BENCH_SIGNER", "oph"))
     pipe = NearDupPipeline(cfg, work_dir=work_dir)
 

@@ -3,10 +3,10 @@ increment without re-processing the base corpus.
 
 The reference covers this shape with its test-vs-train run modes
 (reference RUN.md:188-191 run_mode=3/4); here it is
-`NearDupPipeline.run_incremental`, whose default `exact_pairs=True`
-produces a result BIT-IDENTICAL to re-running the full pipeline over
-base+increment at any scale (candidates re-emitted over the union band
-rows, base verify scores reused via one pair-keyed shuffle):
+`NearDupPipeline.run_incremental`, which produces a result BIT-IDENTICAL
+to re-running the full pipeline over base+increment at any scale
+(candidates re-emitted over the union band rows, base verify scores
+reused via one pair-keyed shuffle):
 
     python examples/incremental_dedup.py [work_dir]
 """
@@ -50,7 +50,7 @@ merged = pipe.run_incremental(
     base=base, input_token="crawl-day1", base_token="crawl-day0")
 print("base+increment:", merged.summary())
 
-# identical to a from-scratch run over both days (exact_pairs default)
+# identical to a from-scratch run over both days
 full = NearDupPipeline(DedupConfig(), work_dir=work_dir + "_full").run(
     rd.from_arrow(pages).repartition(8), input_token="both-days")
 assert merged.summary() == full.summary(), (merged.summary(), full.summary())

@@ -17,9 +17,39 @@ it also works inside a pre-initialised driver).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
+
+from fastdup_ray.config import DedupConfig
+
+
+def _load_spec(path: str) -> dict:
+    """The --config job spec: input/work_dir/out plus DedupConfig fields.
+
+    Any other key is rejected: a misspelling, or a knob a later version
+    removed, would otherwise be dropped by DedupConfig.from_dict and the
+    job would silently run a different path."""
+    text = open(path).read()
+    if path.endswith((".yaml", ".yml")):
+        try:
+            import yaml  # type: ignore
+
+            spec = yaml.safe_load(text) or {}
+        except ImportError as e:
+            raise SystemExit("pyyaml not installed; use a JSON spec") from e
+    else:
+        spec = json.loads(text)
+    known = {"input", "work_dir", "out"} | {
+        f.name for f in dataclasses.fields(DedupConfig)}
+    unknown = sorted(set(spec) - known)
+    if unknown:
+        raise SystemExit(
+            f"--config {path}: unknown key(s) {', '.join(unknown)} "
+            "(not input, work_dir, out or a DedupConfig field)"
+        )
+    return spec
 
 
 def main(argv=None) -> int:
@@ -33,7 +63,6 @@ def main(argv=None) -> int:
     run.add_argument("--num-cpus", type=int, default=int(os.environ.get("RAY_GRAFT_CPUS", "32")))
     run.add_argument("--threshold", type=float, default=None)
     run.add_argument("--cc-threshold", type=float, default=None)
-    run.add_argument("--verify-mode", choices=["exact", "signature"], default=None)
     run.add_argument("--no-resume", action="store_true")
     # S8 analog (reference yaml config source, __init__.py:305-329): a
     # job-spec file carrying input/work_dir/out plus any DedupConfig
@@ -54,12 +83,6 @@ def main(argv=None) -> int:
     app.add_argument("--num-cpus", type=int,
                      default=int(os.environ.get("RAY_GRAFT_CPUS", "32")))
     app.add_argument("--no-resume", action="store_true")
-    app.add_argument(
-        "--fast-pairs", action="store_true",
-        help="skip the union-bands candidate emission (faster when the "
-             "LSH skew cap never engages; above it the edge set can "
-             "drift from a full old+new run — exact mode is the default)",
-    )
 
     rep = sub.add_parser("report", help="galleries + HTML digest from a finished work_dir")
     rep.add_argument("--input", required=True)
@@ -69,6 +92,7 @@ def main(argv=None) -> int:
     rep.add_argument("--num-cpus", type=int, default=int(os.environ.get("RAY_GRAFT_CPUS", "32")))
 
     args = ap.parse_args(argv)
+    spec = _load_spec(args.config) if args.cmd == "run" and args.config else {}
 
     import ray
 
@@ -84,7 +108,6 @@ def main(argv=None) -> int:
     ctx.enable_progress_bars = False
     ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
 
-    from fastdup_ray.config import DedupConfig
     from fastdup_ray.pipelines.neardup import NearDupPipeline
 
     if args.cmd == "append":
@@ -102,7 +125,7 @@ def main(argv=None) -> int:
         res = pipe.run_incremental(
             rd.read_parquet(args.input), base=base,
             input_token=f"append:{args.input}", base_token=base_token,
-            resume=not args.no_resume, exact_pairs=not args.fast_pairs,
+            resume=not args.no_resume,
         )
         summary = res.summary()
         if args.out:
@@ -129,18 +152,6 @@ def main(argv=None) -> int:
         ray.shutdown()
         return 0
 
-    spec: dict = {}
-    if args.config:
-        text = open(args.config).read()
-        if args.config.endswith((".yaml", ".yml")):
-            try:
-                import yaml  # type: ignore
-
-                spec = yaml.safe_load(text) or {}
-            except ImportError as e:
-                raise SystemExit("pyyaml not installed; use a JSON spec") from e
-        else:
-            spec = json.loads(text)
     input_path = args.input or spec.get("input")
     work_dir = args.work_dir or spec.get("work_dir")
     out = args.out or spec.get("out")
@@ -152,7 +163,6 @@ def main(argv=None) -> int:
         for k, v in (
             ("threshold", args.threshold),
             ("cc_threshold", args.cc_threshold),
-            ("verify_mode", args.verify_mode),
         )
         if v is not None
     }

@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -47,23 +47,7 @@ class DedupConfig:
     #     reference __init__.py:519-520) ---
     min_text_len: int = 20         # chars; shorter docs -> is_valid=False, error_code="TOO_SHORT"
 
-    # --- verification ---
-    verify_mode: str = "exact"     # "exact": true shingle Jaccard; "signature": estimate
-                                   # from the 128-perm signature
-    fused_shingles: bool = True    # exact mode: the sign stage emits the sorted-unique
-                                   # shingle-set column alongside the signatures (ONE
-                                   # shingling pass over the text and one fewer pipeline
-                                   # barrier); False restores the separate set stage
-    fused_extract_sign: bool = False  # run extract+sign as ONE fused task pipeline
-                                   # producing a single wide `docsig` materialization
-                                   # (docs columns + signature columns per row); docs
-                                   # and signatures become zero-copy projections of it.
-                                   # Removes a full object-store write+read of the
-                                   # extracted text between the two map stages — the
-                                   # single-box memory-bus lever for the two
-                                   # sub-linear map stages. Default off: the split
-                                   # stages keep docs/signatures independently
-                                   # resumable.
+    # --- verification (exact shingle-set Jaccard) ---
     # when the corpus' packed shingle sets fit under this many bytes, the
     # verify stage broadcasts them once via ray.put (one zero-copy plasma
     # read per node) and scores pairs with pure lookups — no payload
@@ -72,16 +56,8 @@ class DedupConfig:
     # the broadcast index is built as this many doc_id-sharded pieces by
     # parallel Ray tasks (no driver-side collection); verify tasks fetch
     # only the shards their batch touches. On one node every shard is a
-    # zero-copy plasma read; on a multi-node cluster pairs can be
-    # pre-partitioned by src shard so each node holds a subset.
+    # zero-copy plasma read.
     verify_index_shards: int = 16
-    # multi-node verify routing: shuffle candidate pairs by their
-    # (src_shard, dst_shard) group before scoring, so each verify task
-    # reads AT MOST TWO index shards (pinnable per node on a real
-    # cluster instead of every node faulting in every shard). Costs one
-    # extra candidate-sized shuffle; off by default on a single node
-    # where every shard is a local zero-copy plasma read anyway.
-    verify_route_pairs: bool = False
 
     # --- skew handling (hot LSH buckets; SURVEY.md §4 "Skew") ---
     max_bucket_pairs: int = 32     # buckets with <= this many docs emit all C(m,2) pairs;
@@ -120,20 +96,13 @@ class DedupConfig:
     batch_size: int = 1024         # rows per batch for signature/extract stages
     extract_concurrency: int = 4   # actor-pool size for the HTML extractor stage
     num_partitions: int = 32       # hash-join / shuffle partition count
-    cc_max_rounds: int = 50        # safety bound on label-propagation rounds
+    cc_max_rounds: int = 50        # safety bound on star-contraction rounds
     # below this many edges, connected components finishes with a
     # driver-side union-find instead of iterative shuffle rounds — the
     # post-threshold edge set is a tiny fraction of the corpus, and each
-    # distributed round costs a join + two shuffles of fixed latency.
-    # Above the threshold (the 10^12-doc regime) the iterative path runs.
+    # distributed round costs three shuffles of fixed latency. Above the
+    # threshold (the 10^12-doc regime) star contraction runs.
     cc_driver_max_edges: int = 5_000_000
-    # distributed CC algorithm above the driver threshold: "label" =
-    # iterative min-label propagation (O(diameter) rounds — fine for
-    # LSH-emitted clique/star graphs), "star" = alternating large/small
-    # star contraction (Kiveris et al. 2014; O(log^2 n) rounds regardless
-    # of diameter — the escape hatch for boilerplate mega-components
-    # chained through overlapping buckets)
-    cc_algorithm: str = "label"
     # which stages write Parquet checkpoints + manifests. None = all (the
     # default: every stage resumable, the north-rule posture). A tuple
     # (e.g. ("docs", "pair_scores", "components")) skips the write for the
@@ -148,8 +117,6 @@ class DedupConfig:
                 f"num_bands*rows_per_band ({self.num_bands}*{self.rows_per_band}) "
                 f"!= num_perms ({self.num_perms})"
             )
-        if self.verify_mode not in ("exact", "signature"):
-            raise ValueError(f"unknown verify_mode {self.verify_mode!r}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -9,7 +9,7 @@ checkpoint is a Parquet directory with a lineage manifest:
 
     work_dir/
       docs/          url-keyed corpus after HTML->text extraction
-      signatures/    doc_id, minhash[128], simhash, n_shingles
+      signatures/    doc_id, minhash[128], simhash, n_shingles, shingles
       pairs/         distinct LSH candidate pairs (src, dst)
       pair_scores/   verified pairs (src, dst, distance)
       components/    node -> component label (min doc_id in component)
@@ -28,10 +28,8 @@ M4 milestone).
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
-import shutil
 import time
 import warnings
 
@@ -40,7 +38,6 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 import ray.data as rd
-from ray.data.aggregate import Count, Max, Min
 
 from fastdup_ray.config import DedupConfig
 from fastdup_ray.relational.ops import hash_join
@@ -189,6 +186,16 @@ class NearDupPipeline:
     def _hook(self, name: str, ds):
         fn = self.hooks.get(name)
         return fn(ds) if fn else ds
+
+    def _components(self, scores):
+        """Connected components over the scored edges at or above
+        cc_threshold, after the pre_components hook."""
+        t = self.cfg.cc_threshold
+        edges = self._hook("pre_components", scores).map_batches(
+            lambda b: b.filter(pa.compute.greater_equal(b["distance"], pa.scalar(t))),
+            batch_format="pyarrow",
+        )
+        return connected_components(edges, self.cfg)
 
     # ------------------------------------------------------------------ stages
     def _stage(self, name: str, upstream_fps: list[str], build, *, resume: bool = True):
@@ -371,15 +378,8 @@ class NearDupPipeline:
                     f"no committed manifest for stage {stage!r} in {work_dir}"
                 )
             if pipe is None:
-                cfg_dict = dict(man.get("config") or {})
-                known = {f.name for f in dataclasses.fields(DedupConfig)}
-                cfg = DedupConfig(
-                    **{k: v for k, v in cfg_dict.items() if k in known}
-                )
-                if cfg.checkpoint_stages is not None:
-                    cfg = dataclasses.replace(
-                        cfg, checkpoint_stages=tuple(cfg.checkpoint_stages)
-                    )
+                # from_dict ignores keys of fields this version no longer has
+                cfg = DedupConfig.from_dict(man.get("config") or {})
                 pipe = cls(cfg, work_dir=work_dir)
             tables[stage] = rd.read_parquet(
                 f"{root}/{stage}/{man['data_dir']}", filesystem=fs
@@ -410,9 +410,6 @@ class NearDupPipeline:
             input_token = (
                 _dir_fingerprint(pages_path) if pages_path else f"adhoc:{time.time_ns()}"
             )
-
-        if cfg.fused_extract_sign and not already_extracted:
-            return self._run_fused(pages, input_token, resume)
 
         if already_extracted:
             # S11 precomputed-input path (reference run_mode=2 skips
@@ -450,42 +447,51 @@ class NearDupPipeline:
             ),
             resume=resume,
         )
-        return self._run_tail(docs, fp_docs, sigs, fp_sigs, resume)
+        pairs, fp_pairs = self._stage(
+            "pairs", [fp_sigs],
+            lambda: candidate_pairs(
+                sigs.map_batches(BandStage(cfg), batch_format="pyarrow",
+                                 batch_size=cfg.batch_size),
+                cfg,
+            ),
+            resume=resume,
+        )
+        # verify scores the signatures' shingle-set column: it projects
+        # and endpoint-filters it, materializing only the (small)
+        # filtered result
+        scores, fp_scores = self._stage(
+            "pair_scores", [fp_pairs, fp_docs, fp_sigs],
+            lambda: verify_pairs(pairs, sigs, docs, cfg),
+            resume=resume,
+        )
+
+        comps, _ = self._stage(
+            "components", [fp_scores, self.hooks_token],
+            lambda: self._components(scores), resume=resume,
+        )
+
+        self.flush_checkpoints()
+        return NearDupResult(self, docs, sigs, pairs, scores, comps)
 
     def run_incremental(self, new_pages, *, base: "NearDupResult",
                         input_token: str, base_token: str | None = None,
-                        resume: bool = True,
-                        exact_pairs: bool = True) -> "NearDupResult":
+                        resume: bool = True) -> "NearDupResult":
         """Append-mode dedup — the daily-crawl increment path the
         reference covers with its test-vs-train run modes (RUN.md:188-191
         run_mode=3/4, __init__.py:594-597): extract + sign ONLY the new
-        batch, then:
-
-        * ``exact_pairs=True`` (default) — re-emit candidates over the
-          UNION of both corpora's band rows (one groupby, the same
-          emission — including the max_bucket_pairs skew-cap choices —
-          a full run over old+new would make), split the emitted pairs
-          against the base run's scored edges (one pair-keyed shuffle:
-          already-scored pairs reuse their distance, a pair's endpoints
-          and texts are unchanged so the verify kernel is pointwise
-          deterministic), and verify ONLY the never-scored pairs. The
-          result is EXACTLY what a full run over old+new pages would
-          produce at ANY scale (pytest-pinned with a forced skew cap:
-          tests/test_round3.py::test_incremental_exact_under_skew_cap).
-          Saves re-extracting, re-signing and re-verifying the base
-          corpus; re-pays only the candidate-emission groupby.
-        * ``exact_pairs=False`` (fast mode) — emit intra-new candidates
-          plus new-x-base candidates via the G7 cross emitter, verify
-          those, and union with the base run's scored edges. Skips the
-          union-bands emission, but in buckets that trip the
-          max_bucket_pairs skew cap the split emitters make DIFFERENT
-          capping choices than a full run would (richer bipartite
-          emission, but also star centers that shift when new docs join
-          a capped bucket) — the edge set is neither a subset nor a
-          superset of the full run's, and components drift slightly
-          (measured at 2.2M pages: 2.00M vs 0.51M edges, components
-          12,717 vs 12,722 — 0.04%). Exact below the cap
-          (tests/test_round3.py::test_incremental_equals_full_run).
+        batch, then re-emit candidates over the UNION of both corpora's
+        band rows (one groupby, the same emission — including the
+        max_bucket_pairs skew-cap choices — a full run over old+new would
+        make), split the emitted pairs against the base run's scored
+        edges (one pair-keyed shuffle: already-scored pairs reuse their
+        distance, a pair's endpoints and texts are unchanged so the
+        verify kernel is pointwise deterministic), and verify ONLY the
+        never-scored pairs. The result is EXACTLY what a full run over
+        old+new pages would produce at ANY scale (pytest-pinned with a
+        forced skew cap:
+        tests/test_incremental.py::test_incremental_exact_under_skew_cap).
+        Saves re-extracting, re-signing and re-verifying the base corpus;
+        re-pays only the candidate-emission groupby.
 
         Verify runs against the union of both corpora's payloads (the
         verify stage endpoint-filters, so only pair members are ever
@@ -521,10 +527,6 @@ class NearDupPipeline:
             resume=resume,
         )
 
-        from fastdup_ray.stages.lsh import cross_candidate_pairs
-
-        mode_token = f"exact_pairs={exact_pairs}"
-
         def build_pairs():
             bands_new = sigs_n.map_batches(
                 BandStage(cfg), batch_format="pyarrow", batch_size=cfg.batch_size
@@ -532,172 +534,39 @@ class NearDupPipeline:
             bands_base = base.signatures().map_batches(
                 BandStage(cfg), batch_format="pyarrow", batch_size=cfg.batch_size
             )
-            if exact_pairs:
-                # full-run emission over the union band rows: identical
-                # bucket membership => identical skew-cap choices
-                return candidate_pairs(bands_new.union(bands_base), cfg)
-            intra = candidate_pairs(bands_new, cfg)
-            cross = cross_candidate_pairs(bands_new, bands_base, cfg)
-            return intra.union(cross)
+            # full-run emission over the union band rows: identical
+            # bucket membership => identical skew-cap choices
+            return candidate_pairs(bands_new.union(bands_base), cfg)
 
         pairs_n, fp_pn = self._stage(
-            "pairs_incr", [fp_sn, base_token, mode_token], build_pairs,
-            resume=resume,
+            "pairs_incr", [fp_sn, base_token], build_pairs, resume=resume,
         )
 
         docs_all = docs_n.union(base.docs())
         sigs_all = sigs_n.union(base.signatures())
-        shingle_sets = None
-        sig_schema = sigs_all.schema()
-        if cfg.verify_mode == "exact" and sig_schema and "shingles" in sig_schema.names:
-            shingle_sets = sigs_all.select_columns(["doc_id", "shingles"])
-
-        if exact_pairs:
-            # one pair-keyed shuffle: emitted pairs that the base run
-            # already scored reuse their distance; the rest go to verify.
-            # Base scores whose pair was NOT re-emitted are dropped — the
-            # full run would never have scored them (star centers shift
-            # when new docs join a capped bucket).
-            reused, to_verify = _split_scored_pairs(
-                pairs_n, base.pair_scores(), num_parts=cfg.num_partitions
-            )
-            scores_n, fp_scn = self._stage(
-                "pair_scores_incr", [fp_pn, base_token, mode_token],
-                lambda: verify_pairs(to_verify, sigs_all, docs_all, cfg,
-                                     shingle_sets=shingle_sets),
-                resume=resume,
-            )
-            scores_all = scores_n.union(reused).materialize()
-        else:
-            scores_n, fp_scn = self._stage(
-                "pair_scores_incr", [fp_pn, base_token, mode_token],
-                lambda: verify_pairs(pairs_n, sigs_all, docs_all, cfg,
-                                     shingle_sets=shingle_sets),
-                resume=resume,
-            )
-            scores_all = scores_n.union(base.pair_scores()).materialize()
-
-        def build_components():
-            edges = self._hook("pre_components", scores_all).map_batches(
-                lambda b: b.filter(
-                    pa.compute.greater_equal(
-                        b["distance"], pa.scalar(cfg.cc_threshold)
-                    )
-                ),
-                batch_format="pyarrow",
-            )
-            return connected_components(edges, cfg)
+        # one pair-keyed shuffle: emitted pairs that the base run already
+        # scored reuse their distance; the rest go to verify. Base scores
+        # whose pair was NOT re-emitted are dropped — the full run would
+        # never have scored them (star centers shift when new docs join a
+        # capped bucket).
+        reused, to_verify = _split_scored_pairs(
+            pairs_n, base.pair_scores(), num_parts=cfg.num_partitions
+        )
+        scores_n, fp_scn = self._stage(
+            "pair_scores_incr", [fp_pn, base_token],
+            lambda: verify_pairs(to_verify, sigs_all, docs_all, cfg),
+            resume=resume,
+        )
+        scores_all = scores_n.union(reused).materialize()
 
         comps, _ = self._stage(
             "components_incr", [fp_scn, base_token, self.hooks_token],
-            build_components, resume=resume,
-        )
-
-        # exact mode's pairs_n IS the full-run emission; fast mode's
-        # covers only new-touching pairs and needs the base set unioned
-        pairs_all = pairs_n if exact_pairs else pairs_n.union(base._pairs)
-        self.flush_checkpoints()
-        return NearDupResult(self, docs_all, sigs_all, pairs_all, scores_all, comps)
-
-    def _run_fused(self, pages, input_token: str, resume: bool) -> "NearDupResult":
-        """Fused extract+sign: ONE task pipeline (Ray Data fuses the two
-        unmaterialized map_batches) producing a single wide `docsig`
-        materialization; `docs` and `signatures` are projections of it.
-        Saves a full object-store write+read of the extracted text
-        between the stages — the memory-bus lever for the two sub-linear
-        map stages on a single box (VERDICT r2 #2)."""
-        cfg = self.cfg
-
-        def build_docsig():
-            lazy = pages.map_batches(
-                HtmlExtractStage(cfg.min_text_len),
-                batch_format="pyarrow", batch_size=cfg.batch_size,
-            )
-            lazy = self._hook("post_extract", lazy)
-            return lazy.map_batches(
-                SignStage(cfg, keep_docs=True),
-                batch_format="pyarrow", batch_size=cfg.batch_size,
-            )
-
-        docsig, fp_ds = self._stage(
-            "docsig", [input_token, self.hooks_token], build_docsig, resume=resume
-        )
-        doc_cols = ["doc_id", "url", "warc_ts", "lang", "text", "n_bytes",
-                    "error_code", "is_valid"]
-        schema = docsig.schema()
-        doc_cols = [c for c in doc_cols if c in schema.names]
-        sig_cols = ["doc_id", "minhash", "simhash", "n_shingles"]
-        if "shingles" in schema.names:
-            sig_cols.append("shingles")
-        docs = docsig.select_columns(doc_cols)
-
-        def project_sigs(batch: pa.Table) -> pa.Table:
-            keep = pa.compute.and_(
-                batch["is_valid"],
-                pa.compute.greater(batch["n_shingles"], pa.scalar(0)),
-            )
-            return batch.filter(keep).select(sig_cols)
-
-        sigs = docsig.map_batches(project_sigs, batch_format="pyarrow")
-        return self._run_tail(docs, fp_ds, sigs, fp_ds, resume)
-
-    def _run_tail(self, docs, fp_docs: str, sigs, fp_sigs: str,
-                  resume: bool) -> "NearDupResult":
-        cfg = self.cfg
-        pairs, fp_pairs = self._stage(
-            "pairs", [fp_sigs],
-            lambda: candidate_pairs(
-                sigs.map_batches(BandStage(cfg), batch_format="pyarrow",
-                                 batch_size=cfg.batch_size),
-                cfg,
-            ),
-            resume=resume,
-        )
-
-        shingle_sets = None
-        fp_shingles = "unused"
-        if cfg.verify_mode == "exact":
-            if cfg.fused_shingles:
-                # fused: the signatures table already carries the sets.
-                # Lazy projection: verify endpoint-filters it and
-                # materializes only the (small) filtered result, so the
-                # full-width projection is executed exactly once
-                shingle_sets = sigs.select_columns(["doc_id", "shingles"])
-                fp_shingles = fp_sigs
-            else:
-                from fastdup_ray.stages.shingles import ShingleSetStage
-
-                shingle_sets, fp_shingles = self._stage(
-                    "shingles", [fp_docs],
-                    lambda: docs.map_batches(
-                        ShingleSetStage(cfg), batch_format="pyarrow",
-                        batch_size=cfg.batch_size,
-                    ),
-                    resume=resume,
-                )
-
-        scores, fp_scores = self._stage(
-            "pair_scores", [fp_pairs, fp_docs, fp_shingles],
-            lambda: verify_pairs(pairs, sigs, docs, cfg, shingle_sets=shingle_sets),
-            resume=resume,
-        )
-
-        def build_components():
-            edges = self._hook("pre_components", scores).map_batches(
-                lambda b: b.filter(
-                    pa.compute.greater_equal(b["distance"], pa.scalar(cfg.cc_threshold))
-                ),
-                batch_format="pyarrow",
-            )
-            return connected_components(edges, cfg)
-
-        comps, fp_comps = self._stage(
-            "components", [fp_scores, self.hooks_token], build_components,
-            resume=resume,
+            lambda: self._components(scores_all), resume=resume,
         )
 
         self.flush_checkpoints()
-        return NearDupResult(self, docs, sigs, pairs, scores, comps)
+        # pairs_n IS the full-run emission over old+new
+        return NearDupResult(self, docs_all, sigs_all, pairs_n, scores_all, comps)
 
 
 class NearDupResult:

@@ -3375,13 +3375,17 @@ FROM trail tr LEFT JOIN agg a USING (doc_id)
 def queries():
     # Catalog order is deliberate: the correctness driver verifies the FIRST
     # 50 entries against the DuckDB oracles.  Rounds 1-4 banked green driver
-    # rows for the 50 oldest queries; this round rotates the 22 queries added
-    # in r3/r4 (never driver-checked before) into the window, padded with the
-    # 28 cheapest queries that already hold two rounds of driver evidence.
+    # rows for the 50 oldest queries; round 5 rotated the 22 queries added
+    # in r3/r4 (never driver-checked before) into the window.  Every query
+    # whose code or input changed since is also in the window: knn_lists
+    # and simhash_near_dup_pairs (both changed in r5) and
+    # minhash_components (its verify stage now scores the signature
+    # table's shingle sets).  The rest of the window is padded with the
+    # cheapest queries that already hold two rounds of driver evidence.
     # Rotate again next round so every query gets a driver row within two
     # rounds.  Local full-catalog sweep: tools/correctness_dryrun.py.
     return {
-        # --- 22 queries new in r3/r4, first driver check this round ---
+        # --- 22 queries new in r3/r4, first driver check in r5 ---
         "doc_captions": q_doc_captions,
         "entity_span_counts": q_entity_span_counts,
         "zero_shot_labels": q_zero_shot_labels,
@@ -3404,7 +3408,11 @@ def queries():
         "pmi_collocations": q_pmi_collocations,
         "heavy_hitters": q_heavy_hitters,
         "nb_classify": q_nb_classify,
-        # --- 28 cheapest already-driver-green queries (window padding) ---
+        # --- 3 queries changed since their last driver check ---
+        "knn_lists": q_knn_lists,
+        "simhash_near_dup_pairs": q_simhash_near_dup_pairs,
+        "minhash_components": q_minhash_components,
+        # --- 25 cheapest already-driver-green queries (window padding) ---
         "doc_stats": q_doc_stats,
         "text_quality": q_text_quality,
         "word_repetition_stats": q_word_repetition_stats,
@@ -3414,7 +3422,6 @@ def queries():
         "lang_summary": q_lang_summary,
         "bpe_token_counts": q_bpe_token_counts,
         "token_totals": q_token_totals,
-        "windowed_events": q_windowed_events,
         "exact_dup_components": q_exact_dup_components,
         "prefix_dup_pairs": q_prefix_dup_pairs,
         "kmeans_assign": q_kmeans_assign,
@@ -3423,17 +3430,18 @@ def queries():
         "top_docs_per_source": q_top_docs_per_source,
         "leakage_safe_split": q_leakage_safe_split,
         "dedup_survivors": q_dedup_survivors,
-        "pricing_summary": q_pricing_summary,
         "dup_size_histogram": q_dup_size_histogram,
         "lang_confusion": q_lang_confusion,
         "chars_p90": q_chars_p90,
         "pagerank": q_pagerank,
         "component_majority_label": q_component_majority_label,
-        "customer_revenue_topk": q_customer_revenue_topk,
         "token_pack_shards": q_token_pack_shards,
         "hll_distinct_grams": q_hll_distinct_grams,
         "ivf_probe_topk": q_ivf_probe_topk,
         # --- beyond the driver window (driver rows banked r1-r4) ---
+        "windowed_events": q_windowed_events,
+        "pricing_summary": q_pricing_summary,
+        "customer_revenue_topk": q_customer_revenue_topk,
         "ann_topk": q_ann_topk,
         "recent_events": q_recent_events,
         "majority_keep": q_majority_keep,
@@ -3441,16 +3449,13 @@ def queries():
         "ann_ivf_topk": q_ann_ivf_topk,
         "benchmark_contamination": q_benchmark_contamination,
         "doc_embeddings": q_doc_embeddings,
-        "knn_lists": q_knn_lists,
         "stats_filtered_dups": q_stats_filtered_dups,
-        "minhash_components": q_minhash_components,
         "label_score": q_label_score,
         "customers_without_orders": q_customers_without_orders,
         "domain_pair_summary": q_domain_pair_summary,
         "last_order_before_event": q_last_order_before_event,
         "embedding_lsh_pairs": q_embedding_lsh_pairs,
         "customers_without_events": q_customers_without_events,
-        "simhash_near_dup_pairs": q_simhash_near_dup_pairs,
         "outliers": q_outliers,
         "substring_dup_pairs": q_substring_dup_pairs,
         "hierarchical_components": q_hierarchical_components,

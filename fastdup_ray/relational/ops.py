@@ -475,6 +475,45 @@ def broadcast_semi_join(ds, key: str, key_set, *, keep: bool = True):
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
+def sorted_unique_ref(ds, cols):
+    """ObjectRef of the sorted-unique int64 values of `cols` over `ds`.
+
+    Distinct-per-block in tasks, then a TREE-REDUCE of the sorted-unique
+    arrays entirely in tasks — the set never lands on the driver, which
+    holds O(1) regardless of its size. The ref is the broadcast handle
+    every filter task reads zero-copy (see `in_sorted`)."""
+    import numpy as np
+    import ray
+
+    @ray.remote
+    def block_unique(t: pa.Table):
+        return np.unique(np.concatenate([
+            t[c].to_numpy(zero_copy_only=False).astype(np.int64) for c in cols
+        ]))
+
+    @ray.remote
+    def merge_unique(*arrs):
+        return np.unique(np.concatenate(arrs))
+
+    refs = [block_unique.remote(ref) for ref in ds.to_arrow_refs()]
+    if not refs:
+        return ray.put(np.empty(0, np.int64))
+    while len(refs) > 1:  # fan-in 8 per merge task
+        refs = [merge_unique.remote(*refs[i : i + 8])
+                for i in range(0, len(refs), 8)]
+    return refs[0]
+
+
+def in_sorted(values, ids):
+    """Membership mask of `ids` in the sorted-unique array `values`."""
+    import numpy as np
+
+    if values.shape[0] == 0:
+        return np.zeros(ids.shape[0], bool)
+    pos = np.clip(np.searchsorted(values, ids), 0, values.shape[0] - 1)
+    return values[pos] == ids
+
+
 def empty_typed(schema_cols: dict):
     """An empty Dataset WITH a schema (empty datasets produced by filters
     or groupbys otherwise lose their schema and break downstream joins)."""

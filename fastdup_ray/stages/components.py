@@ -1,29 +1,22 @@
-"""Distributed connected components over the similarity graph.
+"""Connected components over the similarity graph.
 
 Reproduces the reference's connected-components stage (Turi-style CC at
-`ccthreshold`, reference RUN.md:77-113, fastdup_controller.py:435-453)
-as iterative min-label propagation expressed with Ray Data hash joins
-and hash-partitioned vectorized aggregations — no driver-side graph and
-no per-group Python calls (SURVEY.md G4; see
-relational.ops.partitioned_groupby for why built-in per-key aggregates
-are avoided at node cardinality).
+`ccthreshold`, reference RUN.md:77-113, fastdup_controller.py:435-453).
+Component ids are the component's minimum doc_id — deterministic and
+parallelism-invariant, unlike the reference's arbitrary ints (RUN.md:92).
 
-Algorithm: every node starts labeled min(own id, min neighbor id); each
-round, every node's label becomes min(own label, labels of neighbors).
-Labels only decrease and converge to the component's minimum doc_id —
-which also NORMALIZES component ids deterministically (min member id),
-unlike the reference's arbitrary ints (RUN.md:92), so outputs are
-parallelism-invariant.
+Two routes, picked by edge count:
 
-One round = one hash join (edge endpoint -> neighbor label), one
-partitioned min-aggregation, and a Sum aggregate for exact fixpoint
-detection. Labels are materialized per round (iterative lineage would
-otherwise re-execute all prior rounds; the label table is 16 bytes/node).
-Round count is O(graph diameter); LSH buckets emit cliques or stars
-(diameter <= 2), so diameters stay small; `cc_max_rounds` bounds
-pathology.
-
-Also provides a driver-side union-find for oracle tests.
+- at most `cc_driver_max_edges` edges (the post-threshold edge set is a
+  tiny fraction of the corpus): a driver-side union-find over the edge
+  list (16 B/edge);
+- above it: alternating large-star / small-star contraction (Kiveris et
+  al. 2014) expressed with hash-partitioned vectorized Ray Data
+  aggregations — O(log n) rounds at ANY graph diameter, so boilerplate
+  mega-components chained through overlapping LSH buckets cost no more
+  rounds than cliques, and no graph state ever lands on the driver
+  (SURVEY.md G4; see relational.ops.partitioned_groupby for why built-in
+  per-key aggregates are avoided at node cardinality).
 """
 
 from __future__ import annotations
@@ -32,23 +25,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ray.data.aggregate import Sum
-
 from fastdup_ray.config import DedupConfig
-from fastdup_ray.relational.ops import hash_join, partitioned_groupby
-
-_NULL = np.int64(np.iinfo(np.int64).max)  # "no old label" sentinel on edge messages
-
-
-def _symmetrize(batch: pa.Table) -> pa.Table:
-    src = batch["src"].to_numpy(zero_copy_only=False).astype(np.int64)
-    dst = batch["dst"].to_numpy(zero_copy_only=False).astype(np.int64)
-    return pa.table(
-        {
-            "node": pa.array(np.concatenate([src, dst]), pa.int64()),
-            "nbr": pa.array(np.concatenate([dst, src]), pa.int64()),
-        }
-    )
+from fastdup_ray.relational.ops import partitioned_groupby
 
 
 def connected_components(edges, config: DedupConfig | None = None):
@@ -62,94 +40,30 @@ def connected_components(edges, config: DedupConfig | None = None):
     import ray.data as rd
 
     cfg = config or DedupConfig()
-    nparts = cfg.num_partitions
 
     # hybrid finalize: below cc_driver_max_edges the whole edge list fits
-    # on the driver (16 B/edge) and union-find beats O(diameter) shuffle
-    # rounds; above it, one of the two distributed routes runs. The count
-    # is taken on the raw edges — symmetrizing (2x rows into the object
-    # store) only happens on the path that needs it.
+    # on the driver (16 B/edge) and union-find beats shuffle rounds;
+    # above it, star contraction runs
     edges = edges.materialize()
-    n_edges = edges.count()
-    if n_edges > cfg.cc_driver_max_edges and cfg.cc_algorithm == "star":
+    if edges.count() > cfg.cc_driver_max_edges:
         return connected_components_star(edges, cfg)
-    if n_edges <= cfg.cc_driver_max_edges:
-        pairs = []
-        for b in edges.iter_batches(batch_size=1_000_000, batch_format="pyarrow"):
-            src = b[b.column_names[0]].to_numpy(zero_copy_only=False)
-            dst = b[b.column_names[1]].to_numpy(zero_copy_only=False)
-            keep = src != dst  # self-loops never name a component
-            pairs.extend(zip(src[keep].tolist(), dst[keep].tolist()))
-        labels = union_find_oracle(pairs)
-        if not labels:
-            return rd.from_arrow(
-                pa.table({"node": pa.array([], pa.int64()), "label": pa.array([], pa.int64())})
-            )
-        nodes = np.fromiter(labels.keys(), dtype=np.int64, count=len(labels))
-        labs = np.fromiter(labels.values(), dtype=np.int64, count=len(labels))
-        order = np.argsort(nodes)
+    pairs = []
+    for b in edges.iter_batches(batch_size=1_000_000, batch_format="pyarrow"):
+        src = b[b.column_names[0]].to_numpy(zero_copy_only=False)
+        dst = b[b.column_names[1]].to_numpy(zero_copy_only=False)
+        keep = src != dst  # self-loops never name a component
+        pairs.extend(zip(src[keep].tolist(), dst[keep].tolist()))
+    labels = union_find_oracle(pairs)
+    if not labels:
         return rd.from_arrow(
-            pa.table({"node": pa.array(nodes[order]), "label": pa.array(labs[order])})
-        ).materialize()
-
-    # label-propagation path: symmetrize once here (the star path builds
-    # its own canonical edge representation instead)
-    sym = edges.map_batches(_symmetrize, batch_format="pyarrow").materialize()
-
-    # initial labels: min(node, min neighbor) in one partitioned shuffle
-    def init_agg(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("node", as_index=False, sort=False)["nbr"].min()
-        g["label"] = np.minimum(g["node"].to_numpy(), g["nbr"].to_numpy())
-        return g[["node", "label"]]
-
-    labels = partitioned_groupby(
-        sym, "node", init_agg, num_parts=nparts, prune_empty=True
+            pa.table({"node": pa.array([], pa.int64()), "label": pa.array([], pa.int64())})
+        )
+    nodes = np.fromiter(labels.keys(), dtype=np.int64, count=len(labels))
+    labs = np.fromiter(labels.values(), dtype=np.int64, count=len(labels))
+    order = np.argsort(nodes)
+    return rd.from_arrow(
+        pa.table({"node": pa.array(nodes[order]), "label": pa.array(labs[order])})
     ).materialize()
-
-    for _round in range(cfg.cc_max_rounds):
-        nbr_side = labels.rename_columns({"node": "nbr_node", "label": "nbr_label"})
-        edge_msgs = hash_join(
-            sym, nbr_side, on="nbr", right_on="nbr_node", num_partitions=nparts
-        ).map_batches(
-            lambda b: pa.table(
-                {
-                    "node": b["node"],
-                    "cand": b["nbr_label"],
-                    "old": pa.array(np.full(b.num_rows, _NULL), pa.int64()),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-        self_msgs = labels.map_batches(
-            lambda b: pa.table(
-                {"node": b["node"], "cand": b["label"], "old": b["label"]}
-            ),
-            batch_format="pyarrow",
-        )
-
-        def resolve(df: pd.DataFrame) -> pd.DataFrame:
-            g = df.groupby("node", sort=False).agg(
-                label=("cand", "min"), old_label=("old", "min")
-            )
-            g = g.reset_index()
-            changed = (
-                g["label"].to_numpy() < g["old_label"].to_numpy()
-            ).astype(np.int64)
-            return pd.DataFrame(
-                {"node": g["node"], "label": g["label"], "changed": changed}
-            )
-
-        # prune_empty: the loop state otherwise gains one (empty) block
-        # per input block every round — see ops.drop_empty_blocks
-        resolved = partitioned_groupby(
-            edge_msgs.union(self_msgs), "node", resolve, num_parts=nparts,
-            prune_empty=True,
-        ).materialize()
-        n_changed = resolved.aggregate(Sum("changed", alias_name="n"))["n"]
-        labels = resolved.drop_columns(["changed"])
-        if not n_changed:
-            break
-    return labels.materialize()
 
 
 def _canon_edges(batch: pa.Table) -> pa.Table:
@@ -253,16 +167,16 @@ def connected_components_star(edges, config: DedupConfig | None = None,
                               stats: dict | None = None):
     """Alternating large-star / small-star connected components (Kiveris
     et al. 2014, "Connected Components in MapReduce and Beyond") — the
-    giant-diameter scale path. Min-label propagation (above) needs
-    O(diameter) shuffle rounds; boilerplate mega-components chained
-    through overlapping LSH buckets can have diameter ~ component size.
-    Star contraction converges in O(log^2 n) rounds (practically ~log n)
-    regardless of diameter, each round = three hash exchanges
+    distributed route of connected_components(). Boilerplate
+    mega-components chained through overlapping LSH buckets can have
+    diameter ~ component size; star contraction converges in O(log^2 n)
+    rounds (practically ~log n) regardless of diameter, each round =
+    three hash exchanges
     (large-star, small-star, dedup+digest) with numpy segment-min
     kernels inside — no driver-side graph state at any size.
 
     At the fixpoint the edge set is a star forest rooted at each
-    component's minimum node id, so labels match connected_components()
+    component's minimum node id, so labels match the union-find route
     exactly (same (node, label) schema, label = min member id).
     Fixpoint detection: (count, order-independent multiset hash) of the
     deduped canonical edge set stable across one round.
@@ -343,7 +257,8 @@ def component_info(labels, num_parts: int = 64):
 
 
 def union_find_oracle(pairs) -> dict[int, int]:
-    """Driver-side union-find for tests: node -> min-id component label."""
+    """Driver-side union-find: node -> min-id component label. The
+    driver route of connected_components() and the tests' oracle."""
     parent: dict[int, int] = {}
 
     def find(x: int) -> int:

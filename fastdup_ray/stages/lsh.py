@@ -79,88 +79,6 @@ def make_emit_partition(max_bucket_pairs: int):
     return emit
 
 
-def make_emit_cross_partition(max_bucket_pairs: int):
-    """Cross-corpus pair emitter (G7 train/test mode, reference RUN.md:188-191,
-    __init__.py:594-597): rows carry a `side` column (0=query corpus,
-    1=index corpus); only side-0 x side-1 pairs are emitted, as
-    (src=side0 doc, dst=side1 doc)."""
-
-    def emit(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {"src": np.empty(0, np.int64), "dst": np.empty(0, np.int64)}
-        )
-        b = df["bucket"].to_numpy().astype(np.int64, copy=False)
-        s = df["side"].to_numpy().astype(np.int64, copy=False)
-        d = df["doc_id"].to_numpy().astype(np.int64, copy=False)
-        if b.size == 0:
-            return empty
-        # lexsort so each bucket is [side-0 run | side-1 run], docs
-        # ascending within a run; dedup (bucket, side, doc)
-        order = np.lexsort((d, s, b))
-        b, s, d = b[order], s[order], d[order]
-        keep = np.ones(b.size, dtype=bool)
-        keep[1:] = (b[1:] != b[:-1]) | (s[1:] != s[:-1]) | (d[1:] != d[:-1])
-        b, s, d = b[keep], s[keep], d[keep]
-        starts = np.flatnonzero(np.concatenate([[True], b[1:] != b[:-1]]))
-        counts = np.diff(np.append(starts, b.size))
-        # per bucket: na side-0 rows, nb side-1 rows
-        na_row = (s == 0).astype(np.int64)
-        cum0 = np.concatenate([[0], np.cumsum(na_row)])
-        na = cum0[starts + counts] - cum0[starts]
-        nb = counts - na
-        b_start = starts + na  # first side-1 row per bucket
-        per_bucket = np.where(
-            (na > 0) & (nb > 0),
-            np.where(na * nb > max_bucket_pairs * max_bucket_pairs, 1, nb),
-            0,
-        )  # dst fan-out per side-0 row (1 = star to min side-1 doc)
-        rep = np.where(s == 0, np.repeat(per_bucket, counts), 0)
-        total = int(rep.sum())
-        if total == 0:
-            return empty
-        src = np.repeat(d, rep)
-        csum = np.cumsum(rep) - rep
-        off = np.arange(total, dtype=np.int64) - np.repeat(csum, rep)
-        dst = d[np.repeat(np.repeat(b_start, counts), rep) + off]
-        # partial dedup before the global (src,dst) distinct: the same pair
-        # fires in up to num_bands buckets, many land in one partition
-        key_order = np.lexsort((dst, src))
-        src, dst = src[key_order], dst[key_order]
-        uniq = np.ones(src.size, dtype=bool)
-        uniq[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-        return pd.DataFrame({"src": src[uniq], "dst": dst[uniq]})
-
-    return emit
-
-
-def cross_candidate_pairs(band_rows_query, band_rows_index,
-                          config: DedupConfig | None = None):
-    """Candidates BETWEEN two corpora only (no intra-corpus pairs):
-    the G7 train/test-similarity mode. Inputs are BandStage outputs."""
-    import pyarrow as pa
-
-    from fastdup_ray.relational.ops import distinct
-
-    cfg = config or DedupConfig()
-
-    def tag(side):
-        def fn(batch: pa.Table) -> pa.Table:
-            return batch.append_column(
-                "side", pa.array(np.full(batch.num_rows, side, np.int8))
-            )
-
-        return fn
-
-    both = band_rows_query.map_batches(tag(0), batch_format="pyarrow").union(
-        band_rows_index.map_batches(tag(1), batch_format="pyarrow")
-    )
-    pairs = partitioned_groupby(
-        both, "bucket", make_emit_cross_partition(cfg.max_bucket_pairs),
-        num_parts=cfg.num_partitions,
-    )
-    return distinct(pairs, ["src", "dst"], num_parts=cfg.num_partitions)
-
-
 def candidate_pairs(band_rows, config: DedupConfig | None = None):
     """band rows Dataset (bucket, doc_id) -> distinct candidate pairs (src, dst).
 
@@ -174,3 +92,40 @@ def candidate_pairs(band_rows, config: DedupConfig | None = None):
         num_parts=cfg.num_partitions,
     )
     return distinct(pairs, ["src", "dst"], num_parts=cfg.num_partitions)
+
+
+def cross_candidate_pairs(band_rows_query, band_rows_index,
+                          config: DedupConfig | None = None):
+    """Candidates BETWEEN two corpora only (no intra-corpus pairs): the
+    G7 train/test-similarity mode (reference RUN.md:188-191,
+    __init__.py:594-597). Inputs are BandStage outputs.
+
+    A side filter over the one pair emitter: `candidate_pairs` over the
+    union of both corpora's band rows (so the skew cap makes the same
+    choices as a run over both corpora), keeping the pairs with exactly
+    one query-corpus endpoint, oriented (src=query doc, dst=index doc).
+    The query doc ids are one sorted-unique array every filter task reads
+    from the object store."""
+    import pyarrow as pa
+    import ray
+
+    from fastdup_ray.relational.ops import in_sorted, sorted_unique_ref
+
+    cfg = config or DedupConfig()
+    band_rows_query = band_rows_query.materialize()
+    query_ref = sorted_unique_ref(band_rows_query, ["doc_id"])
+
+    def straddling(batch: pa.Table) -> pa.Table:
+        src = batch["src"].to_numpy(zero_copy_only=False).astype(np.int64)
+        dst = batch["dst"].to_numpy(zero_copy_only=False).astype(np.int64)
+        query = ray.get(query_ref)
+        src_q, dst_q = in_sorted(query, src), in_sorted(query, dst)
+        keep = src_q != dst_q
+        return pa.table({
+            "src": pa.array(np.where(src_q, src, dst)[keep], pa.int64()),
+            "dst": pa.array(np.where(src_q, dst, src)[keep], pa.int64()),
+        })
+
+    return candidate_pairs(
+        band_rows_query.union(band_rows_index), cfg
+    ).map_batches(straddling, batch_format="pyarrow")

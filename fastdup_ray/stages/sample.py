@@ -64,6 +64,24 @@ def hash_sample(ds, *, key: str = "doc_id", group_col: str | None = None,
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
+def _top_n_rows(codes: np.ndarray, h: np.ndarray, keys: np.ndarray,
+                n: int) -> np.ndarray:
+    """Ascending row indices of the n smallest (hash, key) rows per
+    group code (code -1: no group, never kept), from one lexsort.
+    Signed keys get their sign bit flipped so that their unsigned order
+    is their own (a raw uint64 cast sorts negatives after the rest)."""
+    if keys.dtype.kind == "i":
+        keys = keys.astype(np.int64).view(np.uint64) ^ np.uint64(1 << 63)
+    else:
+        keys = keys.astype(np.uint64)
+    order = np.lexsort((keys, h, codes))
+    sc = codes[order]
+    starts = np.r_[0, np.flatnonzero(sc[1:] != sc[:-1]) + 1]
+    runs = np.diff(np.r_[starts, sc.shape[0]])
+    ranks = np.arange(sc.shape[0]) - np.repeat(starts, runs)
+    return np.sort(order[(ranks < n) & (sc >= 0)])
+
+
 def stratified_fixed_n(ds, *, n: int, key: str = "doc_id",
                        group_col: str = "lang", salt: int = 0):
     """Exactly min(n, group size) rows per group: the n smallest
@@ -79,29 +97,16 @@ def stratified_fixed_n(ds, *, n: int, key: str = "doc_id",
         if batch.num_rows == 0:
             return batch
         # Arrow-native per-group top-n: dictionary-encode the group
-        # column, lexsort (group, hash-uint64, key) in numpy, keep the
-        # first n ranks per group run. Null groups belong to no stratum
-        # and are dropped (the pandas-groupby semantics this replaced).
+        # column, keep the first n (hash, key) ranks per group run. Null
+        # groups belong to no stratum and are dropped (the pandas-groupby
+        # semantics this replaced).
         gcol = batch[group_col]
         if isinstance(gcol, pa.ChunkedArray):
             gcol = gcol.combine_chunks()
-        enc = pc.dictionary_encode(gcol)
-        codes = enc.indices.to_numpy(zero_copy_only=False)
-        valid = ~np.isnan(codes) if codes.dtype.kind == "f" else None
-        codes = np.nan_to_num(codes, nan=-1).astype(np.int64) \
-            if codes.dtype.kind == "f" else codes.astype(np.int64)
-        keyvals = batch[key].to_numpy(zero_copy_only=False) \
-            .astype(np.uint64)
-        order = np.lexsort((keyvals, h, codes))
-        sc = codes[order]
-        starts = np.r_[0, np.flatnonzero(sc[1:] != sc[:-1]) + 1]
-        runs = np.diff(np.r_[starts, sc.shape[0]])
-        ranks = np.arange(sc.shape[0]) - np.repeat(starts, runs)
-        keep_mask = ranks < n
-        if valid is not None:
-            keep_mask &= valid[order]
-        keep_idx = np.sort(order[keep_mask])
-        return batch.take(pa.array(keep_idx))
+        codes = pc.dictionary_encode(gcol).indices.to_numpy(zero_copy_only=False)
+        codes = np.nan_to_num(codes, nan=-1).astype(np.int64)
+        keys = batch[key].to_numpy(zero_copy_only=False)
+        return batch.take(pa.array(_top_n_rows(codes, h, keys, n)))
 
     def final(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy()

@@ -1,36 +1,17 @@
-"""Per-doc shingle-set table: (doc_id, shingles list<uint32> sorted unique).
+"""Per-doc shingle sets: sorted-unique uint32 char-k-gram hashes.
 
-Computed ONCE per document and checkpointed; the exact-verify stage then
-joins these instead of raw text and does a pure sorted-array
-intersection per pair. Without this, hub documents (exact-dup cluster
-members appear in many candidate pairs) get re-shingled once per verify
-batch — measured at ~340us/pair vs ~30us/pair with precomputed sets.
+`SignStage` computes each document's set ONCE, beside its signatures,
+and emits it as the `shingles` list<uint32> column; the exact-verify
+stage then does a pure sorted-array intersection per pair. Without
+precomputed sets, hub documents (exact-dup cluster members appear in
+many candidate pairs) get re-shingled once per verify batch — measured
+at ~340us/pair vs ~30us/pair with precomputed sets.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-
-from fastdup_ray.config import DedupConfig
-from fastdup_ray.functions.hashing import segmented_shingle_hashes
-
-
-class ShingleSetStage:
-    """map_batches callable: docs batch -> shingle-set batch (valid docs only)."""
-
-    def __init__(self, config: DedupConfig | None = None):
-        self.cfg = config or DedupConfig()
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if "is_valid" in batch.column_names:
-            batch = batch.filter(batch["is_valid"])
-        texts = batch["text"]  # Arrow array — shingled zero-copy
-        h, off = segmented_shingle_hashes(texts, self.cfg.shingle_size)
-        values, offsets = unique_sets(h, off, len(texts))
-        keep = np.diff(offsets) > 0
-        return pa.table({"doc_id": batch["doc_id"].filter(pa.array(keep)),
-                         "shingles": sets_array(values, offsets, keep)})
 
 
 def unique_sets(h: np.ndarray, off: np.ndarray, n: int):
@@ -51,11 +32,10 @@ def unique_sets(h: np.ndarray, off: np.ndarray, n: int):
 
 
 def sets_array(values: np.ndarray, offsets: np.ndarray,
-               keep: np.ndarray | None = None) -> pa.ListArray:
-    """list<uint32> column of `unique_sets` output: a row for every doc,
-    or only for the docs in `keep` (which may drop empty sets only)."""
-    if keep is not None:
-        offsets = np.concatenate([offsets[:1], offsets[1:][keep]])
+               keep: np.ndarray) -> pa.ListArray:
+    """list<uint32> column of `unique_sets` output for the docs in
+    `keep` (which may drop empty sets only)."""
+    offsets = np.concatenate([offsets[:1], offsets[1:][keep]])
     return pa.ListArray.from_arrays(
         pa.array(offsets.astype(np.int32), pa.int32()), pa.array(values, pa.uint32())
     )

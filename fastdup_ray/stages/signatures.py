@@ -1,4 +1,5 @@
-"""Signature stage: docs -> (doc_id, minhash[128], simhash, n_shingles).
+"""Signature stage: docs -> (doc_id, minhash[128], simhash, n_shingles,
+shingles).
 
 Text-native analog of the reference's feature-extraction stage
 (reference fastdup/__init__.py:341-353 ONNX inference writing
@@ -15,7 +16,7 @@ import pyarrow as pa
 
 from fastdup_ray.config import DedupConfig
 from fastdup_ray.functions.hashing import segmented_shingle_hashes, to_i63
-from fastdup_ray.functions.minhash import MinHasher, band_buckets, make_signer
+from fastdup_ray.functions.minhash import band_buckets, make_signer
 from fastdup_ray.functions.simhash import simhash64
 from fastdup_ray.stages.shingles import sets_array, unique_sets
 
@@ -29,35 +30,19 @@ class SignStage:
     """
 
     def __init__(self, config: DedupConfig | None = None,
-                 emit_shingles: bool | None = None, keep_docs: bool = False):
+                 emit_shingles: bool = True):
         cfg = config or DedupConfig()
         self.cfg = cfg
         self.mh = make_signer(cfg.signer, cfg.shingle_size, cfg.num_perms, cfg.seed)
-        # fused mode: also emit the sorted-unique shingle-set column, so
-        # the exact-verify stage never re-shingles the corpus (one text
-        # pass and one fewer pipeline barrier than a separate set stage)
-        self.emit_shingles = (
-            emit_shingles if emit_shingles is not None
-            else (cfg.fused_shingles and cfg.verify_mode == "exact")
-        )
-        # keep_docs: emit the signature columns ALONGSIDE every input
-        # column for EVERY row (invalid rows keep the zero-shingle
-        # sentinel signature) — the wide `docsig` layout of the fused
-        # extract+sign stage. The caller projects docs/signature views
-        # out of the one materialization (filter is_valid & n_shingles>0
-        # for the signatures view).
-        self.keep_docs = keep_docs
+        # also emit the sorted-unique shingle-set column, so the
+        # exact-verify stage never re-shingles the corpus (one text pass
+        # and no separate set stage)
+        self.emit_shingles = emit_shingles
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if not self.keep_docs and "is_valid" in batch.column_names:
+        if "is_valid" in batch.column_names:
             batch = batch.filter(batch["is_valid"])
         texts = batch["text"]  # stays an Arrow array end-to-end (zero-copy)
-        if self.keep_docs and "is_valid" in batch.column_names:
-            # don't shingle invalid rows: blank them so error pages cost
-            # nothing and can never alias a valid signature
-            import pyarrow.compute as pc
-
-            texts = pc.if_else(batch["is_valid"], texts, pa.scalar(""))
         h, off = segmented_shingle_hashes(texts, self.cfg.shingle_size)
         # a minimum over a set equals the minimum over the multiset, so
         # signing the unique shingles gives the same signature from
@@ -66,25 +51,18 @@ class SignStage:
         sig, _ = self.mh.signatures_from_hashes(values, uoff)
         n_shingles = np.diff(off)
         sh = simhash64(texts)
-        if self.keep_docs:
-            keep = np.ones(len(texts), dtype=bool)
-            cols = {name: batch[name] for name in batch.column_names}
-        else:
-            # a doc has >=1 raw shingle iff it has >=1 unique shingle
-            keep = n_shingles > 0
-            cols = {"doc_id": batch["doc_id"].filter(pa.array(keep))}
-        sig = sig[keep]
+        # a doc has >=1 raw shingle iff it has >=1 unique shingle
+        keep = n_shingles > 0
+        cols = {"doc_id": batch["doc_id"].filter(pa.array(keep))}
         cols["minhash"] = pa.FixedSizeListArray.from_arrays(
-            pa.array(sig.ravel(), pa.uint32()), self.cfg.num_perms
+            pa.array(sig[keep].ravel(), pa.uint32()), self.cfg.num_perms
         )
         # stored as int64 (bit-reinterpret) — Ray shuffles struggle
         # with uint64 above 2^63; view back via .view(np.uint64)
         cols["simhash"] = pa.array(sh[keep].view(np.int64), pa.int64())
         cols["n_shingles"] = pa.array(n_shingles[keep], pa.int64())
         if self.emit_shingles:
-            cols["shingles"] = sets_array(
-                values, uoff, None if self.keep_docs else keep
-            )
+            cols["shingles"] = sets_array(values, uoff, keep)
         return pa.table(cols)
 
 

@@ -2,21 +2,17 @@
 
 The reference's engine computes true cosine distance for every candidate
 pair and writes `similarity.csv` (from,to,distance, RUN.md:43-55). Here
-`distance` is Jaccard similarity over char-k-gram shingles, via one of:
+`distance` is the exact Jaccard similarity of the two docs' char-k-gram
+shingle sets (the precomputed sorted uint32 sets `SignStage` emits, see
+stages/shingles.py), scored by a vectorized sorted-array intersection —
+exact because a 128-perm MinHash estimate has ~+-0.02 noise right at
+the 0.96 component threshold.
 
-- "signature": estimated from the 128-perm MinHash signatures (matching
-  fraction of rows). Two hash joins pairs<->signatures (512 B payload).
-- "exact": true shingle-set Jaccard. Two hash joins pairs<->shingle_sets
-  (precomputed sorted uint32 sets, stages/shingles.py) + one sorted-array
-  intersection per pair — the mode the >=0.99-recall oracle tests run,
-  since a 128-perm estimate has ~+-0.02 noise right at the 0.96
-  component threshold. Precomputing the sets matters: verifying from raw
-  text re-shingles hub documents once per batch (~340us/pair measured vs
-  ~30us/pair with sets).
-
-Both joins are hash-partitioned on doc_id; the pair side is
-LSH-candidate-sized (<< corpus^2), so cost is linear in candidates +
-corpus.
+Only pair endpoints are indexed. Below `verify_broadcast_max_bytes` the
+endpoint sets are broadcast as doc_id-sharded indexes and pairs are
+scored with pure lookups; above it, two joins hash-partitioned on doc_id
+ship the sets to the pairs. The pair side is LSH-candidate-sized
+(<< corpus^2), so cost is linear in candidates + corpus.
 """
 
 from __future__ import annotations
@@ -26,27 +22,13 @@ import pyarrow as pa
 
 from fastdup_ray.config import DedupConfig
 from fastdup_ray.functions.hashing import mix64
-from fastdup_ray.relational.ops import cogroup_join, with_schema
-from fastdup_ray.stages.shingles import ShingleSetStage, list_column_arrays
-from fastdup_ray.stages.signatures import signatures_to_matrix
-
-
-def _est_jaccard_batch(cfg: DedupConfig):
-    P = cfg.num_perms
-
-    def fn(batch: pa.Table) -> pa.Table:
-        sig_a = _binary_column_flat(batch["mh_bin"])[0].reshape(-1, P)
-        sig_b = _binary_column_flat(batch["mh_bin_r"])[0].reshape(-1, P)
-        dist = (sig_a == sig_b).mean(axis=1)
-        return pa.table(
-            {
-                "src": batch["src"],
-                "dst": batch["dst"],
-                "distance": pa.array(dist, pa.float64()),
-            }
-        )
-
-    return fn
+from fastdup_ray.relational.ops import (
+    cogroup_join,
+    in_sorted,
+    sorted_unique_ref,
+    with_schema,
+)
+from fastdup_ray.stages.shingles import list_column_arrays
 
 
 def _exact_jaccard_batch():
@@ -326,8 +308,7 @@ def _exact_scores_block(vals_a, sa, ea, vals_b, sb, eb, out, out_rows) -> None:
         lo = hi
 
 
-def _broadcast_verify(pairs, shard_refs, router_ref, *, is_signature: bool,
-                      num_perms: int, route_pairs: bool = False):
+def _broadcast_verify(pairs, shard_refs, router_ref):
     """Score pairs against doc_id-sharded _SetIndex objects.
 
     Each map task routes its docs to shards via the router (one
@@ -335,20 +316,10 @@ def _broadcast_verify(pairs, shard_refs, router_ref, *, is_signature: bool,
     fully vectorized kernel per group — no per-pair Python. Shard fetches
     are zero-copy plasma reads; a batch only touches the shards its docs
     live in.
-
-    route_pairs=True (cfg.verify_route_pairs) is the multi-node variant:
-    pairs are first SHUFFLED by their (src_shard, dst_shard) group so
-    every verify task reads AT MOST TWO index shards — on a real cluster
-    the scheduler can then pin shard pairs to the nodes that hold them
-    instead of every node faulting in every shard. The <=2 invariant is
-    asserted inside the kernel. Costs one extra candidate-sized shuffle;
-    single-node plasma makes it a wash there, so it defaults off.
     """
     import ray
 
-    P = num_perms
     num_shards = len(shard_refs)
-    max_shard_touch = 2 if route_pairs else None
 
     def fn(batch: pa.Table) -> pa.Table:
         src = batch["src"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -388,52 +359,30 @@ def _broadcast_verify(pairs, shard_refs, router_ref, *, is_signature: bool,
             idx_d = shard(g % num_shards)
             sa, ea, ha = idx_s.lookup(src[rows])
             sb, eb, hb = idx_d.lookup(dst[rows])
-            if not is_signature:
-                # equal set fingerprint + equal nonzero length selects
-                # CANDIDATE exact-dup endpoints; a real byte comparison
-                # confirms before assigning J=1.0 (the fingerprint is not
-                # adversarially collision-resistant — crafted collisions
-                # in an untrusted corpus must not merge components).
-                # Unconfirmed rows fall through to the full intersection.
-                same = (ha == hb) & (ea - sa == eb - sb) & (ea > sa)
-                if same.any():
-                    cand = np.flatnonzero(same)
-                    conf = _confirm_equal_ranges(
-                        idx_s.values, sa[cand], idx_d.values, sb[cand],
-                        ea[cand] - sa[cand],
-                    )
-                    same[cand[~conf]] = False
-                if same.any():
-                    dist[rows[same]] = 1.0
-                    rest = ~same
-                    rows, sa, ea, sb, eb = (
-                        rows[rest], sa[rest], ea[rest], sb[rest], eb[rest]
-                    )
-                    if rows.size == 0:
-                        continue
-            if is_signature:
-                ok = (ea - sa == P) & (eb - sb == P)
-                if ok.any():
-                    gi = np.arange(P, dtype=np.int64)
-                    ok_rows = rows[ok]
-                    sa_ok = sa[ok]
-                    sb_ok = sb[ok]
-                    # slab the (n, P) gathers to ~2 MB so the scratch
-                    # stays in the malloc arena (see _EXACT_CHUNK_ELEMS)
-                    step = max(1, 500_000 // P)
-                    for lo2 in range(0, sa_ok.shape[0], step):
-                        sl = slice(lo2, lo2 + step)
-                        A = idx_s.values[sa_ok[sl, None] + gi]
-                        B = idx_d.values[sb_ok[sl, None] + gi]
-                        dist[ok_rows[sl]] = (A == B).mean(axis=1)
-            else:
-                _exact_scores_block(
-                    idx_s.values, sa, ea, idx_d.values, sb, eb, dist, rows
+            # equal set fingerprint + equal nonzero length selects
+            # CANDIDATE exact-dup endpoints; a real byte comparison
+            # confirms before assigning J=1.0 (the fingerprint is not
+            # adversarially collision-resistant — crafted collisions
+            # in an untrusted corpus must not merge components).
+            # Unconfirmed rows fall through to the full intersection.
+            same = (ha == hb) & (ea - sa == eb - sb) & (ea > sa)
+            if same.any():
+                cand = np.flatnonzero(same)
+                conf = _confirm_equal_ranges(
+                    idx_s.values, sa[cand], idx_d.values, sb[cand],
+                    ea[cand] - sa[cand],
                 )
-        if max_shard_touch is not None and len(cache) > max_shard_touch:
-            raise AssertionError(
-                f"routed verify task touched {len(cache)} shards "
-                f"(> {max_shard_touch}); pair routing is broken"
+                same[cand[~conf]] = False
+            if same.any():
+                dist[rows[same]] = 1.0
+                rest = ~same
+                rows, sa, ea, sb, eb = (
+                    rows[rest], sa[rest], ea[rest], sb[rest], eb[rest]
+                )
+                if rows.size == 0:
+                    continue
+            _exact_scores_block(
+                idx_s.values, sa, ea, idx_d.values, sb, eb, dist, rows
             )
         return pa.table(
             {
@@ -443,40 +392,17 @@ def _broadcast_verify(pairs, shard_refs, router_ref, *, is_signature: bool,
             }
         )
 
-    if not route_pairs:
-        return pairs.map_batches(fn, batch_format="pyarrow", batch_size=65536)
-
-    def add_group(batch: pa.Table) -> pa.Table:
-        src = batch["src"].to_numpy(zero_copy_only=False).astype(np.int64)
-        dst = batch["dst"].to_numpy(zero_copy_only=False).astype(np.int64)
-        r_ids, r_shard = ray.get(router_ref)
-
-        def route(docs: np.ndarray) -> np.ndarray:
-            if r_ids.shape[0] == 0:
-                return np.zeros(docs.shape[0], np.int64)
-            pos = np.clip(np.searchsorted(r_ids, docs), 0, r_ids.shape[0] - 1)
-            return np.where(r_ids[pos] == docs, r_shard[pos], 0).astype(np.int64)
-
-        g = route(src) * num_shards + route(dst)
-        return batch.append_column("vgroup", pa.array(g, pa.int64()))
-
-    def score_group(t: pa.Table) -> pa.Table:
-        return fn(t.drop_columns(["vgroup"]))
-
-    return (
-        pairs.map_batches(add_group, batch_format="pyarrow")
-        .groupby("vgroup")
-        .map_groups(score_group, batch_format="pyarrow")
-    )
+    return pairs.map_batches(fn, batch_format="pyarrow", batch_size=65536)
 
 
 def verify_pairs(pairs, signatures, docs, config: DedupConfig | None = None,
                  shingle_sets=None):
-    """Attach `distance` to each candidate pair.
+    """Attach `distance` (exact shingle-set Jaccard) to each candidate pair.
 
-    pairs: Dataset (src, dst); signatures: Dataset (doc_id, minhash, ...);
-    docs: Dataset with (doc_id, text) — used to build shingle sets in
-    exact mode when `shingle_sets` (doc_id, shingles) isn't supplied.
+    pairs: Dataset (src, dst); signatures: the `SignStage` output, whose
+    (doc_id, shingles) columns are the sets scored unless `shingle_sets`
+    (doc_id, shingles) is supplied. `docs` is no longer read; it stays
+    in the signature for existing callers.
     """
     import os
     import sys
@@ -513,126 +439,54 @@ def verify_pairs(pairs, signatures, docs, config: DedupConfig | None = None,
 
     # Only pair ENDPOINTS are ever looked up, and endpoints scale with the
     # candidate budget, not the corpus (~15% of docs here; a tiny fraction
-    # at 10^12 docs). Distinct-per-block in tasks, then a TREE-REDUCE of
-    # the sorted-unique arrays entirely in tasks — the endpoint set never
-    # lands on the driver (only its length does), so the driver holds
-    # O(1) regardless of candidate count. The final reduce's ObjectRef is
-    # the broadcast handle every filter task reads zero-copy.
-    import ray as _ray
+    # at 10^12 docs). Their sorted-unique set is reduced entirely in tasks
+    # (only its length reaches the driver).
+    ends_ref = sorted_unique_ref(pairs, ["src", "dst"])
 
-    @_ray.remote
-    def _block_endpoints(t: pa.Table) -> np.ndarray:
-        return np.unique(
-            np.concatenate([
-                t["src"].to_numpy(zero_copy_only=False).astype(np.int64),
-                t["dst"].to_numpy(zero_copy_only=False).astype(np.int64),
-            ])
-        )
-
-    @_ray.remote
-    def _merge_unique(*arrs) -> np.ndarray:
-        return np.unique(np.concatenate(arrs))
-
-    @_ray.remote
+    @ray.remote
     def _arr_len(a: np.ndarray) -> int:
         return int(a.shape[0])
 
-    end_refs = [_block_endpoints.remote(ref) for ref in pairs.to_arrow_refs()]
-    if not end_refs:
-        ends_ref = _ray.put(np.empty(0, np.int64))
-    else:
-        fan = 8
-        while len(end_refs) > 1:
-            end_refs = [
-                _merge_unique.remote(*end_refs[i : i + fan])
-                for i in range(0, len(end_refs), fan)
-            ]
-        ends_ref = end_refs[0]
-    n_endpoints = int(_ray.get(_arr_len.remote(ends_ref)))
+    n_endpoints = int(ray.get(_arr_len.remote(ends_ref)))
     _phase("endpoint_reduce")
 
     def _endpoint_filter(batch: pa.Table) -> pa.Table:
-        ends = _ray.get(ends_ref)
         ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        pos = np.clip(np.searchsorted(ends, ids), 0, max(0, ends.shape[0] - 1))
-        hit = ends[pos] == ids if ends.shape[0] else np.zeros(ids.shape[0], bool)
-        return batch.filter(pa.array(hit))
+        return batch.filter(pa.array(in_sorted(ray.get(ends_ref), ids)))
 
+    if shingle_sets is None:
+        shingle_sets = signatures.select_columns(["doc_id", "shingles"])
+    # ONE fused pass: endpoint-filter + pack, materialized once — the
+    # sizing sample, the broadcast index build AND the join fallback all
+    # consume this endpoint-only packed table
+    packed = shingle_sets.map_batches(
+        _endpoint_filter, batch_format="pyarrow"
+    ).map_batches(_pack_shingles, batch_format="pyarrow").materialize()
+    _phase("pack_filter_materialize")
     # ---- broadcast path: payload table fits in the object store ----
-    if cfg.verify_mode == "signature":
-        est_bytes = n_endpoints * cfg.num_perms * 4
-        if est_bytes <= cfg.verify_broadcast_max_bytes:
-            packed = signatures.select_columns(["doc_id", "minhash"]).map_batches(
-                _endpoint_filter, batch_format="pyarrow"
-            ).map_batches(
-                _pack_minhash, batch_format="pyarrow"
-            )
-            refs, router = _build_index_shards(
-                packed, "mh_bin", cfg.verify_index_shards
-            )
-            return _broadcast_verify(pairs, refs, router, is_signature=True,
-                                     num_perms=cfg.num_perms,
-                                     route_pairs=cfg.verify_route_pairs)
-    else:
-        if shingle_sets is None:
-            shingle_sets = docs.map_batches(
-                ShingleSetStage(cfg), batch_format="pyarrow",
-                batch_size=cfg.batch_size,
-            )
-        # ONE fused pass: endpoint-filter + pack, materialized once —
-        # the sizing sample, the broadcast index build AND the join
-        # fallback all consume this endpoint-only packed table (the
-        # fallback previously re-packed the UNFILTERED sets)
-        packed = shingle_sets.map_batches(
-            _endpoint_filter, batch_format="pyarrow"
-        ).map_batches(_pack_shingles, batch_format="pyarrow").materialize()
-        _phase("pack_filter_materialize")
-        # rough payload estimate: avg set size x 4 bytes; sample 1k rows
-        sample = packed.limit(1000).take_all()
-        avg = (
-            float(np.mean([len(r["sh_bin"]) // 4 for r in sample]))
-            if sample else 0.0
+    # rough payload estimate: avg set size x 4 bytes; sample 1k rows
+    sample = packed.limit(1000).take_all()
+    avg = (
+        float(np.mean([len(r["sh_bin"]) // 4 for r in sample]))
+        if sample else 0.0
+    )
+    if n_endpoints * avg * 4 <= cfg.verify_broadcast_max_bytes:
+        refs, router = _build_index_shards(
+            packed, "sh_bin", cfg.verify_index_shards
         )
-        if n_endpoints * avg * 4 <= cfg.verify_broadcast_max_bytes:
-            refs, router = _build_index_shards(
-                packed, "sh_bin", cfg.verify_index_shards
-            )
-            _phase("shard_build_launch")
-            return _broadcast_verify(pairs, refs, router, is_signature=False,
-                                     num_perms=cfg.num_perms,
-                                     route_pairs=cfg.verify_route_pairs)
+        _phase("shard_build_launch")
+        return _broadcast_verify(pairs, refs, router)
 
-    # acero rejects list-typed join payloads ("Data type list<uint32> is
-    # not supported in join non-key field"): ship sets/signatures as
-    # BINARY blobs and np.frombuffer them back in the verify kernel
-    if cfg.verify_mode == "signature":
-        side = signatures.select_columns(["doc_id", "minhash"]).map_batches(
-            _endpoint_filter, batch_format="pyarrow"
-        ).map_batches(
-            _pack_minhash, batch_format="pyarrow"
-        ).materialize()
-        # cogroup_join, not Dataset.join: acero joins anti-scale at high
-        # parallelism on ray 2.49 (more CPUs -> slower; the partitioned
-        # merge shuffle holds its scaling) — this fallback IS the beyond-
-        # broadcast-budget scale path, so it must scale
-        joined = cogroup_join(
-            pairs, side, on="src", right_on="doc_id", num_parts=np_parts
-        ).materialize()
-        joined = with_schema(
-            joined,
-            {"src": pa.int64(), "dst": pa.int64(), "mh_bin": pa.binary()},
-        ).materialize()
-        joined = cogroup_join(
-            joined, side.rename_columns({"mh_bin": "mh_bin_r"}),
-            on="dst", right_on="doc_id", num_parts=np_parts,
-        )
-        return joined.map_batches(_est_jaccard_batch(cfg), batch_format="pyarrow")
-
-    # exact-mode join fallback: `packed` (endpoint-filtered, already
-    # materialized above) is both join sides
+    # join fallback: `packed` is both join sides. acero rejects
+    # list-typed join payloads ("Data type list<uint32> is not supported
+    # in join non-key field"), hence the BINARY blobs np.frombuffer'd
+    # back in the kernel. cogroup_join, not Dataset.join: acero joins
+    # anti-scale at high parallelism on ray 2.49 (more CPUs -> slower;
+    # the partitioned merge shuffle holds its scaling) — this fallback IS
+    # the beyond-broadcast-budget scale path, so it must scale
     joined = cogroup_join(
         pairs, packed, on="src", right_on="doc_id", num_parts=np_parts
-    ).materialize()  # see scaling note in the signature branch
+    ).materialize()
     joined = with_schema(
         joined,
         {"src": pa.int64(), "dst": pa.int64(), "sh_bin": pa.binary()},
@@ -657,15 +511,3 @@ def _pack_shingles(batch: pa.Table) -> pa.Table:
     )
     return pa.table({"doc_id": batch["doc_id"], "sh_bin": bin_arr})
 
-
-def _pack_minhash(batch: pa.Table) -> pa.Table:
-    _, sig = signatures_to_matrix(batch)
-    n = sig.shape[0]
-    width = sig.shape[1] * 4 if n else 0
-    b_off = (np.arange(n + 1, dtype=np.int64) * width).astype(np.int32)
-    bin_arr = pa.Array.from_buffers(
-        pa.binary(), n,
-        [None, pa.py_buffer(b_off.tobytes()),
-         pa.py_buffer(np.ascontiguousarray(sig, dtype=np.uint32).tobytes())],
-    )
-    return pa.table({"doc_id": batch["doc_id"], "mh_bin": bin_arr})

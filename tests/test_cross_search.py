@@ -38,15 +38,14 @@ def test_cross_candidates_only_between_corpora(ray_session):
         assert r["src"] in a_ids, "src must come from the query corpus"
         assert r["dst"] in b_ids, "dst must come from the index corpus"
 
-    # completeness: every within-ALL candidate pair that straddles the split
-    # appears in the cross mode too
-    all_bands = bands(docs_tbl)
-    full = candidate_pairs(all_bands, cfg).take_all()
+    # cross mode is exactly the straddling subset of the candidate pairs
+    # over both corpora, oriented (query, index)
+    full = candidate_pairs(bands(docs_tbl), cfg).take_all()
     straddle = {
         (r["src"], r["dst"]) if r["src"] in a_ids else (r["dst"], r["src"])
         for r in full
         if (r["src"] in a_ids) != (r["dst"] in a_ids)
     }
-    got = {(r["src"], r["dst"]) for r in cross}
-    missing = straddle - got
-    assert not missing, f"{len(missing)} straddling pairs missing from cross mode"
+    got = [(r["src"], r["dst"]) for r in cross]
+    assert len(got) == len(set(got)), "cross pairs must be distinct"
+    assert set(got) == straddle

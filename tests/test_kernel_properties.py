@@ -149,15 +149,16 @@ doc_text = st.text(alphabet="abcé ", max_size=40)
 def test_sign_stage_unique_sets_equal_raw_multiset(texts, signer):
     """SignStage signs each doc's unique shingle set; that must equal the
     signer run over the raw shingle multiset, and n_shingles stays the
-    raw count."""
+    raw count. The stage emits exactly the docs with n_shingles > 0."""
     cfg = DedupConfig(signer=signer)
     batch = pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
                       "text": pa.array(texts, pa.string())})
-    out = SignStage(cfg, keep_docs=True)(batch)
+    out = SignStage(cfg)(batch)
     h, off = segmented_shingle_hashes(texts, cfg.shingle_size)
     sig, n_sh = make_signer(signer, cfg.shingle_size, cfg.num_perms,
                             cfg.seed).signatures_from_hashes(h, off)
+    rows = np.flatnonzero(n_sh > 0)
     ids, got = signatures_to_matrix(out)
-    assert ids.tolist() == list(range(len(texts)))
-    assert np.array_equal(got, sig)
-    assert out["n_shingles"].to_pylist() == n_sh.tolist()
+    assert ids.tolist() == rows.tolist()
+    assert np.array_equal(got, sig[rows])
+    assert out["n_shingles"].to_pylist() == n_sh[rows].tolist()

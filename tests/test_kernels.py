@@ -269,40 +269,6 @@ def test_emit_partition_matches_per_bucket_reference():
         assert (got["src"] < got["dst"]).all()
 
 
-def test_emit_cross_partition_matches_per_bucket_reference():
-    """Vectorized cross-corpus emitter (G7) vs per-bucket reference:
-    full a x b cross below the cap, star to the min side-1 doc above."""
-    import pandas as pd
-
-    from fastdup_ray.stages.lsh import make_emit_cross_partition
-
-    def reference(df, cap):
-        multi = df[df.duplicated("bucket", keep=False)]
-        out = set()
-        for _, g in multi.groupby("bucket", sort=False):
-            a = np.unique(g.loc[g["side"] == 0, "doc_id"].to_numpy().astype(np.int64))
-            b = np.unique(g.loc[g["side"] == 1, "doc_id"].to_numpy().astype(np.int64))
-            if a.size == 0 or b.size == 0:
-                continue
-            if a.size * b.size > cap * cap:
-                out.update((int(x), int(b[0])) for x in a)
-            else:
-                out.update((int(x), int(y)) for x in a for y in b)
-        return out
-
-    rng = np.random.default_rng(13)
-    for cap in (1, 2, 32):
-        df = pd.DataFrame(
-            {
-                "bucket": rng.integers(0, 150, 3000).astype(np.int64),
-                "side": rng.integers(0, 2, 3000).astype(np.int64),
-                "doc_id": rng.integers(0, 300, 3000).astype(np.int64),
-            }
-        )
-        got = make_emit_cross_partition(cap)(df.copy())
-        assert set(map(tuple, got.to_numpy())) == reference(df, cap)
-
-
 def test_oph_signer_properties():
     """OPH invariants: batch == per-doc, full densification whenever at
     least one shingle exists, sentinel for zero-shingle docs, and
@@ -444,9 +410,8 @@ GOLDEN_SIMHASH = "4f1f796bc7118cc4c7c39ee8409fe99b"
 GOLDEN_MINHASH = "403b0ca1b54d400f2527b950b4b69556"
 GOLDEN_OPH = "87221b3443106916ffa9954ee536ed61"
 GOLDEN_SIGNSTAGE = {
-    ("minhash", False): "771863e1ee99145549fc31f13fd6d9fd",
-    ("oph", False): "d3fc1689dbeef3d75e362cb0c8a9a742",
-    ("minhash", True): "365f162de24a8fc77abfc9d2952ea9b7",
+    "minhash": "771863e1ee99145549fc31f13fd6d9fd",
+    "oph": "d3fc1689dbeef3d75e362cb0c8a9a742",
 }
 
 
@@ -467,8 +432,10 @@ def test_golden_minhash_and_oph_signatures():
     assert _digest(*OnePermMinHasher(5, 128, 42).signatures(docs)) == GOLDEN_OPH
 
 
-@pytest.mark.parametrize("signer,keep_docs", list(GOLDEN_SIGNSTAGE))
-def test_golden_sign_stage(signer, keep_docs):
+# the "-False" ids keep the test names the suite has always reported
+@pytest.mark.parametrize("signer", list(GOLDEN_SIGNSTAGE),
+                         ids=lambda signer: f"{signer}-False")
+def test_golden_sign_stage(signer):
     import pyarrow as pa
 
     from fastdup_ray.config import DedupConfig
@@ -480,5 +447,5 @@ def test_golden_sign_stage(signer, keep_docs):
         "text": pa.array(docs, pa.string()),
         "is_valid": pa.array([i % 11 != 5 for i in range(len(docs))]),
     })
-    out = SignStage(DedupConfig(signer=signer), keep_docs=keep_docs)(batch)
-    assert _sign_table_digest(out) == GOLDEN_SIGNSTAGE[signer, keep_docs]
+    out = SignStage(DedupConfig(signer=signer))(batch)
+    assert _sign_table_digest(out) == GOLDEN_SIGNSTAGE[signer]

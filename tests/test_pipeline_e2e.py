@@ -30,9 +30,9 @@ def oracle():
     texts = pages["text"].to_pylist()
     urls = pages["url"].to_pylist()
     ids = id63(urls)
-    # cc_driver_max_edges=0 forces the DISTRIBUTED iterative CC path —
-    # the at-scale route this suite exists to validate (the driver
-    # union-find fallback is oracle-exact by construction)
+    # cc_driver_max_edges=0 forces the DISTRIBUTED CC route (star
+    # contraction) — the at-scale route this suite exists to validate
+    # (the driver union-find route is oracle-exact by construction)
     cfg = DedupConfig(cc_driver_max_edges=0)
     valid = [
         i
@@ -96,7 +96,7 @@ def test_components_match_oracle_partition(result, oracle):
 
 
 def test_similarity_edges_exact_distances(result, oracle):
-    """Engine distances are exact Jaccard (verify_mode='exact'); every edge
+    """Engine distances are exact Jaccard (exact verify); every edge
     >= threshold; canonical src<dst; no self-edges."""
     edges = result.similarity().take_all()
     assert len(edges) > 0
@@ -205,34 +205,3 @@ def test_join_verify_path_matches_broadcast(ray_session, oracle, tmp_path_factor
     e_join = edges(cfg_join, str(tmp_path_factory.mktemp("wd_j")), "vp-j")
     assert e_bcast == e_join
     assert len(e_bcast) > 0
-
-
-def test_signature_verify_paths(ray_session, oracle, tmp_path_factory):
-    """verify_mode='signature': broadcast and join-fallback paths must both
-    equal the direct signature-estimate for every candidate pair."""
-    import dataclasses
-
-    from fastdup_ray.functions.minhash import MinHasher, estimate_jaccard
-
-    def edges(cfg, wd, token):
-        res = NearDupPipeline(cfg, work_dir=wd).run(
-            rd.from_arrow(oracle["pages"]).repartition(8), input_token=token
-        )
-        return {(r["src"], r["dst"]): r["distance"]
-                for r in res.pair_scores().take_all()}
-
-    base = dataclasses.replace(oracle["cfg"], verify_mode="signature")
-    e_b = edges(base, str(tmp_path_factory.mktemp("sg_b")), "sg-b")
-    e_j = edges(
-        dataclasses.replace(base, verify_broadcast_max_bytes=0),
-        str(tmp_path_factory.mktemp("sg_j")), "sg-j",
-    )
-    assert e_b == e_j and len(e_b) > 0
-    # spot-check against a direct estimate
-    pages = oracle["pages"]
-    texts = {i: t for i, t in zip(oracle["ids"], pages["text"].to_pylist())}
-    mh = MinHasher(base.shingle_size, base.num_perms, base.seed)
-    for (s, d), dist in list(e_b.items())[:20]:
-        sig, _ = mh.signatures([texts[s], texts[d]])
-        want = estimate_jaccard(sig[0:1], sig[1:2])[0]
-        assert abs(dist - want) < 1e-12, (s, d, dist, want)

@@ -35,3 +35,52 @@ def test_fixed_n_exact_group_sizes(ray_session):
         n=30, key="doc_id", group_col="lang", salt=7).take_all()
     assert sorted((r["lang"], r["doc_id"]) for r in out) == \
            sorted((r["lang"], r["doc_id"]) for r in out1)
+
+
+def _pandas_top_n(df, n):
+    """Oracle: per group, the n rows smallest by (unsigned hash, key in
+    its own signed order)."""
+    import numpy as np
+
+    df = df.assign(_hu=df["h"].to_numpy().astype(np.uint64))
+    kept = (df.sort_values(["_hu", "key"], kind="mergesort")
+              .groupby("g", sort=False).head(n))
+    return sorted(kept.index.tolist())
+
+
+def test_top_n_rows_breaks_hash_ties_by_signed_key():
+    """Hash ties fall back to the key; negative int64 keys must order
+    before non-negative ones, exactly like a pandas sort."""
+    import numpy as np
+    import pandas as pd
+
+    from fastdup_ray.stages.sample import _top_n_rows
+
+    rng = np.random.default_rng(3)
+    for n in (1, 3, 10):
+        keys = rng.choice(np.arange(-500, 500), 300, replace=False).astype(np.int64)
+        h = rng.integers(0, 4, 300).astype(np.uint64)  # forced ties
+        codes = rng.integers(0, 3, 300).astype(np.int64)
+        df = pd.DataFrame({"g": codes, "h": h, "key": keys})
+        got = _top_n_rows(codes, h, keys, n).tolist()
+        assert got == _pandas_top_n(df, n), n
+
+
+def test_fixed_n_negative_doc_ids_match_pandas_oracle(ray_session):
+    import numpy as np
+    import pandas as pd
+    import pyarrow as pa
+
+    from fastdup_ray.functions.hashing import mix64
+
+    rng = np.random.default_rng(11)
+    ids = rng.choice(np.arange(-(1 << 40), 1 << 40, 7919), 400,
+                     replace=False).astype(np.int64)
+    langs = rng.choice(["en", "fr", "de"], 400)
+    tbl = pa.table({"doc_id": pa.array(ids), "lang": pa.array(langs)})
+    got = stratified_fixed_n(rd.from_arrow(tbl).repartition(4), n=25,
+                             key="doc_id", group_col="lang", salt=5).take_all()
+    h = mix64(ids.astype(np.uint64) ^ np.uint64(5))
+    df = pd.DataFrame({"g": langs, "h": h.astype(np.int64), "key": ids})
+    want = sorted(ids[_pandas_top_n(df, 25)].tolist())
+    assert sorted(r["doc_id"] for r in got) == want

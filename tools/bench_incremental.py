@@ -1,15 +1,18 @@
 """Append-mode dedup benchmark (VERDICT r4 ask #8).
 
 Quantifies the incremental path's win: a 2M-page base corpus is deduped
-once, then a 200k-page daily-crawl increment arrives. Compare
+once, then a 200k-page daily-crawl increment arrives. It times three
+runs:
 
   * FULL    — re-run the whole pipeline over base+increment (2.2M pages)
-  * INCR    — ``run_incremental``: extract/sign/band ONLY the increment,
-              cross-emit candidates against the base run's band rows,
-              verify only the new pairs, re-run CC over the unioned edges
+  * BASE    — the base corpus alone (the already-paid cost)
+  * INCR    — ``run_incremental``: extract/sign ONLY the increment,
+              re-emit candidates over the union band rows, reuse the
+              base run's scores, verify only never-scored pairs, re-run
+              CC over the unioned edges
 
-The two produce identical results by construction (pytest-pinned:
-tests/test_round3.py::test_incremental_equals_full_run); here the
+FULL and INCR produce identical results by construction (pytest-pinned:
+tests/test_incremental.py::test_incremental_equals_full_run); here the
 summaries are asserted equal at bench scale too.
 
 Corpus: replica-range split of the cached 8M bench corpus (replicas
@@ -17,7 +20,8 @@ Corpus: replica-range split of the cached 8M bench corpus (replicas
 
     python tools/bench_incremental.py        # honors RAY_GRAFT_CPUS
 
-Prints one JSON line with t_full, t_incr, speedup and host probes.
+Prints one JSON line with t_full, t_base, t_incr, speedup and host
+probes.
 """
 from __future__ import annotations
 
@@ -131,7 +135,7 @@ def main() -> None:
     t_base = round(time.monotonic() - t0, 3)
     probe2 = host_probe()
 
-    # ---- INCR exact (default): must equal the full run bit-for-bit ----
+    # ---- INCR: must equal the full run bit-for-bit ----
     t0 = time.monotonic()
     incr = base_pipe.run_incremental(
         rd.read_parquet(NEW_DIR), base=base,
@@ -142,39 +146,21 @@ def main() -> None:
     probe3 = host_probe()
     assert incr_summary == full_summary, (incr_summary, full_summary)
     incr_walls = dict(base_pipe.stage_walls)
-    del incr
-    gc.collect()
-
-    # ---- INCR fast: skew-capped buckets may drift (documented) ----
-    t0 = time.monotonic()
-    fast = base_pipe.run_incremental(
-        rd.read_parquet(NEW_DIR), base=base,
-        input_token="incr-bench-new", base_token="incr-bench-base",
-        resume=False, exact_pairs=False)
-    fast_summary = fast.summary()
-    t_fast = round(time.monotonic() - t0, 3)
-    probe4 = host_probe()
 
     print(json.dumps({
         "metric": "incremental_dedup_speedup",
         "value": round(t_full / t_incr, 2),
-        "unit": "x (t_full / t_incr, exact mode)",
+        "unit": "x (t_full / t_incr)",
         "t_full_s": t_full,
         "t_base_s": t_base,
-        "t_incr_exact_s": t_incr,
-        "t_incr_fast_s": t_fast,
-        "fast_speedup": round(t_full / t_fast, 2),
+        "t_incr_s": t_incr,
         "base_docs": base_summary["total_docs"],
         "incr_docs": full_summary["total_docs"] - base_summary["total_docs"],
         "stage_walls_full": dict(full_pipe.stage_walls),
-        "stage_walls_incr_exact": incr_walls,
+        "stage_walls_incr": incr_walls,
         "summary": full_summary,
-        "fast_summary_drift": {
-            k: fast_summary[k] - full_summary[k]
-            for k in full_summary if fast_summary[k] != full_summary[k]
-        },
         "host_probes": [round(p, 3)
-                        for p in (probe0, probe1, probe2, probe3, probe4)],
+                        for p in (probe0, probe1, probe2, probe3)],
         "num_cpus": ncpu,
     }))
     ray.shutdown()
