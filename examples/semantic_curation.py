@@ -36,7 +36,8 @@ from ray.data import DataContext
 
 DataContext.get_current().enable_progress_bars = False
 
-from fastdup_ray.stages.ann import _normalize, train_ivf_centroids_pinned
+from fastdup_ray.relational.ops import in_sorted, sorted_unique_ref
+from fastdup_ray.stages.ann import train_ivf_centroids_pinned
 from fastdup_ray.stages.dsir import dsir_weights
 from fastdup_ray.stages.lm import pmi_collocations
 from fastdup_ray.stages.nbayes import nb_classify
@@ -84,14 +85,14 @@ def main() -> None:
         .select(["doc_id"]),
         batch_format="pyarrow",
     )
-    chosen = set(r["doc_id"] for r in like_target.take_all()) & set(
-        r["doc_id"] for r in approved.take_all()
-    )  # fixture-scale sets; at scale this is a broadcast semi-join
-    chosen_ref = ray.put(np.array(sorted(chosen), np.int64))
+    # both id sets stay in the object store: each is reduced to one
+    # sorted-unique array in tasks, and every filter task reads it
+    like_ref = sorted_unique_ref(like_target, ["doc_id"])
+    approved_ref = sorted_unique_ref(approved, ["doc_id"])
 
     def keep(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        sel = np.isin(ids, ray.get(chosen_ref))
+        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        sel = in_sorted(ray.get(like_ref), ids) & in_sorted(ray.get(approved_ref), ids)
         return batch.filter(pa.array(sel))
 
     selection = docs.map_batches(keep, batch_format="pyarrow")

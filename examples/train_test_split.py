@@ -43,8 +43,8 @@ def main() -> None:
     labels = res.connected_components()  # (node, label) for clustered docs
 
     # 2. every doc gets a component id: its cluster label, else itself
-    # (with_schema canonicalizes + renames at the block level — the CC
-    # output carries schema-less empty shuffle blocks on ray 2.49)
+    # (with_schema canonicalizes + renames at the block level — ray 2.49's
+    # rename_columns on a from_arrow_refs dataset is unreliable)
     import pyarrow as pa
 
     from fastdup_ray.relational.ops import with_schema

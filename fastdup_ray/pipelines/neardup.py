@@ -37,15 +37,30 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+import ray
 import ray.data as rd
 
 from fastdup_ray.config import DedupConfig
-from fastdup_ray.relational.ops import hash_join
+from fastdup_ray.relational.ops import (
+    empty_table,
+    hash_join,
+    nonempty_block_refs,
+    remote_fn,
+)
 from fastdup_ray.stages.components import component_info, connected_components
 from fastdup_ray.stages.extract import HtmlExtractStage
 from fastdup_ray.stages.lsh import candidate_pairs
 from fastdup_ray.stages.signatures import BandStage, SignStage
 from fastdup_ray.stages.verify import verify_pairs
+
+
+def _write_block(block, fs, path: str) -> tuple[int, int]:
+    """Write one Dataset block to `path` on `fs` as Parquet; (rows, bytes)."""
+    from ray.data.block import BlockAccessor
+
+    table = BlockAccessor.for_block(block).to_arrow()
+    pq.write_table(table, path, filesystem=fs)
+    return table.num_rows, fs.get_file_info(path).size
 
 
 def _fs_and_path(path: str):
@@ -267,20 +282,21 @@ class NearDupPipeline:
             except (OSError, TypeError):
                 pass
             self._fs.create_dir(data_dir, recursive=True)
-            ds.write_parquet(data_dir, filesystem=self._fs)
-            # per-partition lineage: row count + bytes per written file
-            files = []
-            total_rows = 0
-            for fi in sorted(
-                self._fs.get_file_info(pafs.FileSelector(data_dir)),
-                key=lambda i: i.path,
-            ):
-                if fi.type != pafs.FileType.File:
-                    continue
-                meta = pq.ParquetFile(self._fs.open_input_file(fi.path)).metadata
-                files.append({"file": fi.base_name, "rows": meta.num_rows,
-                              "bytes": fi.size})
-                total_rows += meta.num_rows
+            # one write task per block; (rows, bytes) per file comes back
+            # from the tasks, so no file footer is reopened. A zero-row
+            # stage still commits one typed file, so resume reads back
+            # its schema
+            blocks = nonempty_block_refs(ds) or [ray.put(empty_table(ds))]
+            write = remote_fn(_write_block)
+            names = [f"part-{i:05d}.parquet" for i in range(len(blocks))]
+            refs = [write.remote(b, self._fs, f"{data_dir}/{n}")
+                    for b, n in zip(blocks, names)]
+            # wait for every write to end before raising, so no task is
+            # still writing into data_dir once this stage's failure is seen
+            ray.wait(refs, num_returns=len(refs))
+            files = [{"file": n, "rows": rows, "bytes": nbytes}
+                     for n, (rows, nbytes) in zip(names, ray.get(refs))]
+            total_rows = sum(f["rows"] for f in files)
             manifest = {
                 "stage": name,
                 "fingerprint": fp,

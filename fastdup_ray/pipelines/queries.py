@@ -1845,12 +1845,10 @@ def q_token_pack_shards(sf_dir: str, budget: int = 256):
         return df[["doc_id", "source", "n_bpe_tokens", "shard_id"]]
 
     out = partitioned_groupby(counts, "source", pack)
-    # normalize the emitted blocks: the sort shuffle inside
-    # partitioned_groupby interleaves zero-row zero-COLUMN blocks
-    # ("RefBundle with a different schema ... new schema: ." warnings)
-    # whose surviving pandas metadata made the driver's value hash
-    # nondeterministic (CORRECTNESS_r03 hash-fail with zero actual value
-    # mismatches). with_schema drops empties and pins exact Arrow types.
+    # normalize the emitted blocks: with_schema pins exact Arrow types
+    # (pandas metadata on shuffle outputs once made the driver's value
+    # hash nondeterministic: CORRECTNESS_r03 hash-fail with zero actual
+    # value mismatches).
     from fastdup_ray.relational.ops import with_schema
 
     return with_schema(

@@ -8,6 +8,8 @@ or broadcast lookups.
 
 from __future__ import annotations
 
+import functools
+
 import pandas as pd
 import pyarrow as pa
 
@@ -147,11 +149,7 @@ def _broadcast_inner_join(left, right, *, lks: list, rks: list):
     rt_ref = _concat.remote(*rrefs)
 
     mat = left.materialize()
-    refs = []
-    for bundle in mat.iter_internal_ref_bundles():
-        for ref, meta in bundle.blocks:
-            if meta.num_rows is None or meta.num_rows > 0:
-                refs.append(ref)
+    refs = nonempty_block_refs(mat)
     if not refs:
         # empty inner join, but with the JOINED schema: left columns +
         # right payload columns
@@ -212,11 +210,7 @@ def combine_aggregate(ds, keys, partial_fn, merge_fn=None, *, fan: int = 8):
         ).replace_schema_metadata(None)
 
     parts = ds.map_batches(_partial, batch_format="pandas").materialize()
-    refs = []
-    for bundle in parts.iter_internal_ref_bundles():
-        for ref, meta in bundle.blocks:
-            if meta.num_rows is None or meta.num_rows > 0:
-                refs.append(ref)
+    refs = nonempty_block_refs(parts)
     if not refs:
         return parts  # schema-bearing empty (partial_fn shaped the schema)
 
@@ -338,107 +332,203 @@ def distinct_value_quantile(ds, col: str, q: float, *,
     return thr, {"mode": "grid", "rows_collected": len(hist)}
 
 
+_PART_MULTS = (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F,
+               0x165667B19E3779F9, 0x27D4EB2F165667C5)
+
+
+def _part_ids(batch: pa.Table, keys: list, num_parts: int):
+    """Hash partition (0..num_parts-1, int64) of each row of `batch` by
+    its `keys` columns."""
+    import numpy as np
+
+    mults = [np.uint64(m) for m in _PART_MULTS]
+    h = np.zeros(batch.num_rows, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        for i, key in enumerate(keys):
+            arr = batch[key].to_numpy(zero_copy_only=False)
+            if arr.dtype.kind in "iu":
+                ch = arr.astype(np.uint64)
+            else:
+                ch = pd.util.hash_array(np.asarray(arr, dtype=object), categorize=False)
+            # avalanche each column so low-entropy keys still spread
+            ch = ch * mults[i % len(mults)]
+            ch ^= ch >> np.uint64(29)
+            h ^= ch * mults[(i + 1) % len(mults)]
+    return (h % np.uint64(num_parts)).astype(np.int64)
+
+
+def _as_arrow(block) -> pa.Table:
+    """A Dataset block as an Arrow table without schema metadata (the
+    nested pandas metadata dict makes block schemas unhashable, which
+    defeats Ray's schema dedup downstream)."""
+    if not isinstance(block, pa.Table):  # pandas-format block
+        block = pa.Table.from_pandas(block, preserve_index=False)
+    return block.replace_schema_metadata(None)
+
+
+def _split_block(block, keys: list, num_parts: int):
+    """Map side of the exchange: (row counts per partition, slice of
+    partition 0, ..., slice of partition P-1); empty slices are None."""
+    import numpy as np
+
+    t = _as_arrow(block)
+    part = _part_ids(t, keys, num_parts)
+    counts = np.bincount(part, minlength=num_parts)
+    t = t.take(pa.array(np.argsort(part, kind="stable")))
+    starts = np.cumsum(counts) - counts
+    return (counts, *(
+        t.slice(int(s), int(c)) if c else None for s, c in zip(starts, counts)
+    ))
+
+
+def _split_blocks(refs: list, keys: list, num_parts: int) -> list:
+    """One split task per block; per partition, the refs of its
+    non-empty slices (the driver reads only the row counts)."""
+    import ray
+
+    split = remote_fn(_split_block).options(num_returns=num_parts + 1)
+    outs = [split.remote(r, keys, num_parts) for r in refs]
+    counts = ray.get([o[0] for o in outs])
+    return [
+        [o[p + 1] for o, c in zip(outs, counts) if c[p]]
+        for p in range(num_parts)
+    ]
+
+
+def _apply_groups(apply_fn, batch_format: str, t: pa.Table) -> pa.Table:
+    """Run `apply_fn` on one whole partition in `batch_format`; the
+    result as an Arrow table."""
+    from ray.data.block import BlockAccessor
+
+    out = apply_fn(BlockAccessor.for_block(t).to_batch_format(batch_format))
+    if isinstance(out, pa.Table):
+        return out
+    # a pandas DataFrame: emit Arrow blocks: several Dataset ops (rename_columns and other
+    # projections) assume Arrow-backed blocks. Strip the pandas schema
+    # metadata, as _as_arrow does
+    return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
+
+
+def _reduce_part(apply_fn, batch_format: str, *slices):
+    """Reduce side of the exchange: (rows out, apply_fn over the
+    concatenation of one partition's slices)."""
+    t = pa.concat_tables(
+        [_as_arrow(s) for s in slices], promote_options="permissive"
+    )
+    out = _apply_groups(apply_fn, batch_format, t)
+    return out.num_rows, out
+
+
+@functools.cache
+def remote_fn(fn):
+    """`ray.remote(fn)`, created once per function."""
+    import ray
+
+    return ray.remote(fn)
+
+
 def partitioned_groupby(ds, keys, apply_fn, *, num_parts: int = 64,
-                        prune_empty: bool = False, batch_format: str = "pandas"):
+                        batch_format: str = "pandas"):
     """High-cardinality groupby: hash-partition by `keys`, then run ONE
-    vectorized pandas aggregation per partition.
+    vectorized `apply_fn` call per partition.
 
     Ray's built-in `groupby(...).aggregate(...)` finalizes per GROUP in
     Python (~20us/group): at millions of distinct keys that is minutes
-    (measured: 8M-key Count = 183s on 8 cpus, independent of shuffle
-    strategy). This pattern — `part = hash(keys) % P` column, `groupby
-    ("part").map_groups(vectorized_fn)` — does the same exchange but P
-    python calls total (measured: 3.2s, 57x faster). Every row of a key
-    lands in exactly one partition, so any per-key aggregation is exact.
+    (measured: 8M-key Count = 183s on 8 cpus). Here the exchange is one
+    direct hash shuffle on plain Ray tasks:
 
-    apply_fn: pandas DataFrame (one whole hash partition, `part` column
-    already dropped) -> pandas DataFrame. It must itself group by `keys`
-    (e.g. df.groupby(keys).agg(...)); partitions are disjoint by key.
+    - one split task per non-empty input block tags each row with an
+      avalanche hash of its keys and slices the block into P parts,
+      returned as task returns (part 0 is the row counts), so lineage
+      can rebuild a lost slice;
+    - the driver reads only the counts and starts one reduce task per
+      non-empty partition, which concatenates that partition's slices
+      and calls `apply_fn` once;
+    - the result is `from_arrow_refs` of the non-empty reduce outputs.
+
+    P = min(num_parts, number of non-empty input blocks), the block
+    count Ray's own sort shuffle keeps: every split slice and reduce task
+    has a fixed scheduling and worker cost, so a fixed larger P only
+    adds tasks on small inputs.
+    Every row of a key lands in exactly one partition, so any per-key
+    aggregation is exact. The input is materialized first, and the call
+    returns a materialized Dataset with no zero-row blocks (a result
+    with no rows is one typed zero-row block). For empty input it is
+    `apply_fn` applied to the empty input table, when the input has a
+    schema.
+
+    apply_fn: pandas DataFrame (one whole hash partition) -> pandas
+    DataFrame. It must itself group by `keys` (e.g.
+    df.groupby(keys).agg(...)); partitions are disjoint by key.
 
     batch_format="pyarrow" hands apply_fn the partition as a pa.Table
     (and expects one back) — callers whose partitions carry cheap
     all-null padding columns (cogroup_join) use it to filter/project in
     Arrow before any pandas materialization.
     """
-    import numpy as np
+    import ray
+    import ray.data as rd
 
     keys = [keys] if isinstance(keys, str) else list(keys)
-    P = np.uint64(num_parts)
-    mults = [np.uint64(m) for m in
-             (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0x27D4EB2F165667C5)]
+    mat = ds.materialize()
+    refs = nonempty_block_refs(mat)
+    if not refs:
+        empty = empty_table(mat)
+        if empty.num_columns == 0:
+            return mat
+        return rd.from_arrow(_apply_groups(apply_fn, batch_format, empty))
 
-    def add_part(batch: pa.Table) -> pa.Table:
-        # strip parquet-written pandas schema metadata: its nested dict
-        # makes block schemas unhashable in the shuffle's reduce tasks
-        # ("Failed to hash the schemas" per block, defeating schema dedup)
-        batch = batch.replace_schema_metadata(None)
-        h = np.zeros(batch.num_rows, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            for i, key in enumerate(keys):
-                col = batch[key]
-                arr = col.to_numpy(zero_copy_only=False)
-                if arr.dtype.kind in "iu":
-                    ch = arr.astype(np.uint64)
-                else:
-                    ch = pd.util.hash_array(np.asarray(arr, dtype=object), categorize=False)
-                # avalanche each column so low-entropy keys still spread
-                ch = ch * mults[i % len(mults)]
-                ch ^= ch >> np.uint64(29)
-                h ^= ch * mults[(i + 1) % len(mults)]
-        part = (h % P).astype(np.int32)
-        return batch.append_column("part", pa.array(part, pa.int32()))
+    nparts = max(1, min(int(num_parts), len(refs)))
+    parts = [refs] if nparts == 1 else _split_blocks(refs, keys, nparts)
+    # hold no reference to the input blocks or the slices past the
+    # submission of the tasks that read them: Ray frees each once its
+    # last reader finishes, so input, slices and output are not all
+    # resident at once
+    del mat, refs
+    fn_ref = ray.put(apply_fn)
+    reduce = remote_fn(_reduce_part).options(num_returns=2)
+    res = [reduce.remote(fn_ref, batch_format, *s) for s in parts if s]
+    del parts
+    rows = ray.get([r[0] for r in res])
+    kept = [r[1] for r, n in zip(res, rows) if n] or [res[0][1]]
+    return rd.from_arrow_refs(kept)
 
-    def run(group):
-        if batch_format == "pyarrow":
-            return apply_fn(group.drop_columns(["part"]))
-        out = apply_fn(group.drop(columns=["part"]))
-        if isinstance(out, pd.DataFrame):
-            # emit Arrow blocks: several Dataset ops (rename_columns and
-            # other projections) assume Arrow-backed blocks. Strip the
-            # pandas schema metadata — its nested dict defeats Ray's
-            # schema dedup (logs "Failed to hash the schemas" per block)
-            # and bloats every block header
-            return pa.Table.from_pandas(
-                out, preserve_index=False
-            ).replace_schema_metadata(None)
-        return out
 
-    out = (
-        ds.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(run, batch_format=batch_format)
-    )
-    # prune_empty=True materializes and drops the empty output blocks the
-    # sort shuffle emits (one per INPUT block). Essential inside iterative
-    # loops (block counts compound exponentially otherwise) and before a
-    # rename_columns on the output (empty blocks skip the rename Project);
-    # left OFF by default because the materialization barrier costs
-    # streaming overlap in one-shot chains (measured 2.6x e2e on the
-    # bench pipeline when forced on everywhere).
-    return drop_empty_blocks(out) if prune_empty else out
+def nonempty_block_refs(mat) -> list:
+    """Block refs of a materialized Dataset, zero-row blocks dropped by
+    metadata (no data moves)."""
+    return [
+        ref
+        for bundle in mat.iter_internal_ref_bundles()
+        for ref, meta in bundle.blocks
+        if meta.num_rows is None or meta.num_rows > 0
+    ]
+
+
+def empty_table(ds) -> pa.Table:
+    """A zero-row Arrow table with `ds`'s schema (no columns when `ds`
+    has no schema)."""
+    schema = ds.schema()
+    if schema is None:
+        return pa.table({})
+    return pa.schema(
+        [(n, _as_arrow_type(t)) for n, t in zip(schema.names, schema.types)]
+    ).empty_table()
 
 
 def drop_empty_blocks(ds):
     """Materialize `ds` and drop zero-row blocks.
 
-    Ray 2.49's sort-based shuffle emits one OUTPUT block per INPUT block:
-    with P partitions << input blocks, most outputs are empty zero-COLUMN
-    blocks that (a) lose the schema ("RefBundle with a different schema
-    ... new schema: ." warnings; acero join failures) and (b) compound
-    across iterative pipelines — a loop whose state passes through two
-    groupbys per round doubles its block count every round (measured:
-    3 -> 1023 blocks over 9 pagerank rounds, wall time growing 2x per
-    round from scheduler overhead alone). Pruning by block METADATA costs
-    one driver pass, moves no data, and bounds every consumer.
+    For Dataset ops that can emit empty, schema-less blocks (a
+    `map_batches` whose UDF filters every row of a block): such blocks
+    lose the schema and, inside iterative pipelines, compound across
+    rounds (pagerank's per-round map outputs). Pruning by block METADATA
+    costs one driver pass, moves no data, and bounds every consumer.
     """
     import ray.data as rd
 
     mat = ds.materialize()
-    refs = []
-    for bundle in mat.iter_internal_ref_bundles():
-        for ref, meta in bundle.blocks:
-            if meta.num_rows is None or meta.num_rows > 0:
-                refs.append(ref)
+    refs = nonempty_block_refs(mat)
     if not refs:
         # all-empty: keep the materialized dataset (callers already
         # handle schema-less empties via with_schema / empty_typed)
@@ -560,11 +650,7 @@ def with_schema(ds, cols: dict, *, rename: dict | None = None):
     # block passes through a Project un-renamed), and they compound in
     # iterative pipelines — see drop_empty_blocks.
     mat = ds.materialize()
-    refs = []
-    for bundle in mat.iter_internal_ref_bundles():
-        for ref, meta in bundle.blocks:
-            if meta.num_rows is None or meta.num_rows > 0:
-                refs.append(ref)
+    refs = nonempty_block_refs(mat)
     if not refs:
         return rd.from_arrow(empty)
     return rd.from_arrow_refs([canon.remote(r) for r in refs])
@@ -617,8 +703,8 @@ def cogroup_join(left, right, *, on: str, right_on: str, num_parts: int = 64):
 
     Exists because ray 2.49's `Dataset.join` anti-scales on this
     workload (more CPUs -> slower; measured 32s+ per join of 1.7M x
-    0.6M rows) and crashes on sparse partitions; this path reuses the
-    partitioned-groupby shuffle that measures ~3s for 8M rows.
+    0.6M rows) and crashes on sparse partitions; this path reuses
+    partitioned_groupby's hash exchange on plain Ray tasks.
     The right key column is dropped from the output (Dataset.join
     parity).
     """

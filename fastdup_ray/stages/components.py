@@ -8,8 +8,8 @@ parallelism-invariant, unlike the reference's arbitrary ints (RUN.md:92).
 Two routes, picked by edge count:
 
 - at most `cc_driver_max_edges` edges (the post-threshold edge set is a
-  tiny fraction of the corpus): a driver-side union-find over the edge
-  list (16 B/edge);
+  tiny fraction of the corpus): a driver-side numpy min-label pass
+  (`min_label_components`) over the edge list (16 B/edge);
 - above it: alternating large-star / small-star contraction (Kiveris et
   al. 2014) expressed with hash-partitioned vectorized Ray Data
   aggregations — O(log n) rounds at ANY graph diameter, so boilerplate
@@ -42,28 +42,52 @@ def connected_components(edges, config: DedupConfig | None = None):
     cfg = config or DedupConfig()
 
     # hybrid finalize: below cc_driver_max_edges the whole edge list fits
-    # on the driver (16 B/edge) and union-find beats shuffle rounds;
-    # above it, star contraction runs
+    # on the driver (16 B/edge) and a numpy min-label pass beats shuffle
+    # rounds; above it, star contraction runs
     edges = edges.materialize()
     if edges.count() > cfg.cc_driver_max_edges:
         return connected_components_star(edges, cfg)
-    pairs = []
+    src_parts, dst_parts = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     for b in edges.iter_batches(batch_size=1_000_000, batch_format="pyarrow"):
-        src = b[b.column_names[0]].to_numpy(zero_copy_only=False)
-        dst = b[b.column_names[1]].to_numpy(zero_copy_only=False)
+        src = b[b.column_names[0]].to_numpy(zero_copy_only=False).astype(np.int64)
+        dst = b[b.column_names[1]].to_numpy(zero_copy_only=False).astype(np.int64)
         keep = src != dst  # self-loops never name a component
-        pairs.extend(zip(src[keep].tolist(), dst[keep].tolist()))
-    labels = union_find_oracle(pairs)
-    if not labels:
-        return rd.from_arrow(
-            pa.table({"node": pa.array([], pa.int64()), "label": pa.array([], pa.int64())})
-        )
-    nodes = np.fromiter(labels.keys(), dtype=np.int64, count=len(labels))
-    labs = np.fromiter(labels.values(), dtype=np.int64, count=len(labels))
-    order = np.argsort(nodes)
+        src_parts.append(src[keep])
+        dst_parts.append(dst[keep])
+    src, dst = np.concatenate(src_parts), np.concatenate(dst_parts)
+    n = src.shape[0]
+    nodes, idx = np.unique(np.concatenate([src, dst]), return_inverse=True)
+    labels = nodes[min_label_components(nodes.shape[0], idx[:n], idx[n:])]
     return rd.from_arrow(
-        pa.table({"node": pa.array(nodes[order]), "label": pa.array(labs[order])})
+        pa.table({"node": pa.array(nodes, pa.int64()),
+                  "label": pa.array(labels, pa.int64())})
     ).materialize()
+
+
+def min_label_components(n: int, ei: np.ndarray, ej: np.ndarray) -> np.ndarray:
+    """Connected components over nodes 0..n-1 and edges (ei, ej): the
+    minimum node index of each node's component.
+
+    Vectorized hook-and-jump: each round hooks the larger root of every
+    edge whose endpoints have different roots under the smaller one
+    (`np.minimum.at`), then pointer-jumps every node to its root. Each
+    round at least halves the roots that still have an edge to another
+    root, so a path of diameter n takes O(log n) rounds; edges whose
+    endpoints already share a root are dropped for good."""
+    lab = np.arange(n, dtype=np.int64)
+    ei, ej = np.asarray(ei, np.int64), np.asarray(ej, np.int64)
+    while True:
+        li, lj = lab[ei], lab[ej]
+        diff = li != lj
+        if not diff.any():
+            return lab
+        ei, ej, li, lj = ei[diff], ej[diff], li[diff], lj[diff]
+        np.minimum.at(lab, np.maximum(li, lj), np.minimum(li, lj))
+        while True:
+            nxt = lab[lab]
+            if np.array_equal(nxt, lab):
+                break
+            lab = nxt
 
 
 def _canon_edges(batch: pa.Table) -> pa.Table:
@@ -191,7 +215,7 @@ def connected_components_star(edges, config: DedupConfig | None = None,
 
     E = partitioned_groupby(
         edges.map_batches(_canon_edges, batch_format="pyarrow"),
-        "hi", _dedup_part, num_parts=nparts, prune_empty=True,
+        "hi", _dedup_part, num_parts=nparts,
     ).materialize()
     sig = _edge_signature(E)
     if sig[0] == 0:
@@ -209,13 +233,13 @@ def connected_components_star(edges, config: DedupConfig | None = None,
     for _round in range(cfg.cc_max_rounds):
         large = partitioned_groupby(
             E.map_batches(sym, batch_format="pyarrow"),
-            "node", _emit_large_star, num_parts=nparts, prune_empty=True,
+            "node", _emit_large_star, num_parts=nparts,
         )
         small = partitioned_groupby(
-            large, "hi", _emit_small_star, num_parts=nparts, prune_empty=True,
+            large, "hi", _emit_small_star, num_parts=nparts,
         )
         E = partitioned_groupby(
-            small, "hi", _dedup_part, num_parts=nparts, prune_empty=True,
+            small, "hi", _dedup_part, num_parts=nparts,
         ).materialize()
         rounds += 1
         new_sig = _edge_signature(E)
@@ -241,7 +265,7 @@ def connected_components_star(edges, config: DedupConfig | None = None,
 
     return partitioned_groupby(
         E.map_batches(to_labels, batch_format="pyarrow"),
-        "node", min_label, num_parts=nparts, prune_empty=True,
+        "node", min_label, num_parts=nparts,
     ).materialize()
 
 
@@ -257,8 +281,8 @@ def component_info(labels, num_parts: int = 64):
 
 
 def union_find_oracle(pairs) -> dict[int, int]:
-    """Driver-side union-find: node -> min-id component label. The
-    driver route of connected_components() and the tests' oracle."""
+    """Dict-based union-find: node -> min-id component label. The tests'
+    oracle for connected_components() and min_label_components()."""
     parent: dict[int, int] = {}
 
     def find(x: int) -> int:

@@ -6,10 +6,9 @@ shuffle over the band rows produced by `BandStage` (SURVEY.md G1, §7.3).
 
 Implementation notes (scale):
 - Bucket cardinality ~ num_bands x corpus size, nearly all singletons, so
-  a per-bucket `map_groups` would pay Python overhead per bucket. Instead
-  we hash-partition by bucket (`partitioned_groupby`) and, inside each
-  partition, drop singleton buckets VECTORIZED (duplicated mask) before a
-  Python loop over only the multi-occupant buckets.
+  a per-bucket Python call would pay overhead per bucket. Instead we
+  hash-partition by bucket (`partitioned_groupby`) and emit every
+  partition's pairs in one vectorized call (`make_emit_partition`).
 - Skew (SURVEY.md §4, §7.4): boilerplate/template pages collapse into
   mega-buckets; an uncapped bucket of m docs emits C(m,2) = O(m^2) pairs.
   Buckets larger than `max_bucket_pairs` emit a STAR to the bucket's
@@ -82,9 +81,11 @@ def make_emit_partition(max_bucket_pairs: int):
 def candidate_pairs(band_rows, config: DedupConfig | None = None):
     """band rows Dataset (bucket, doc_id) -> distinct candidate pairs (src, dst).
 
-    Two partitioned shuffles: bucket-hash (pair emission) and (src,dst)
-    (cross-band dedup; the same near-dup pair fires in many bands — the
-    D1 `drop_duplicates(['from','to'])` analog, reference galleries.py:356).
+    Two hash exchanges (`partitioned_groupby`, each one split task per
+    input block and one reduce task per partition): bucket (pair
+    emission) and (src,dst) (cross-band dedup; the same near-dup pair
+    fires in many bands — the D1 `drop_duplicates(['from','to'])`
+    analog, reference galleries.py:356).
     """
     cfg = config or DedupConfig()
     pairs = partitioned_groupby(

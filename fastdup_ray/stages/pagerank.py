@@ -174,9 +174,9 @@ def pagerank(edges, config: DedupConfig | None = None, *, damping: float = 0.85,
                 }
             )
 
-        # drop_empty_blocks, not bare materialize: each round's shuffles
-        # emit one (mostly empty) output block per input block, so the
-        # loop state otherwise doubles its block count every round
+        # materialize the loop state once per round; drop_empty_blocks
+        # also drops zero-row blocks, so the state's block count cannot
+        # grow from round to round
         nxt = drop_empty_blocks(merged.map_batches(update, batch_format="pyarrow"))
         delta_col = nxt
         state = drop_empty_blocks(nxt.select_columns(["node", "pr", "degree"]))

@@ -20,7 +20,8 @@ Ray-Data shape (two stages, one exchange):
 2. ONE hash exchange on ``cell`` (``partitioned_groupby``), then per
    cluster: L2-normalize, blocked float64 matmul for pairwise cosine,
    edges at ``round(cos, 6) >= threshold``, vectorized min-label
-   union-find (pointer jumping, no per-pair Python loop), and
+   components (``components.min_label_components``, no per-pair Python
+   loop), and
    ``rep_id`` = min vec_id of each semantic group. ``keep`` marks the
    representative. Nothing lands on the driver.
 
@@ -38,23 +39,6 @@ import numpy as np
 import pyarrow as pa
 
 
-def _group_min_label(n: int, ei: np.ndarray, ej: np.ndarray) -> np.ndarray:
-    """Connected components over n nodes and edges (ei, ej): returns the
-    min node index reachable from each node. Vectorized min-propagation
-    with pointer jumping — O(E) numpy work per round, ~log(diameter)
-    rounds (semantic-dup groups are near-cliques, so 1-2 in practice)."""
-    lab = np.arange(n, dtype=np.int64)
-    while True:
-        new = lab.copy()
-        if ei.shape[0]:
-            np.minimum.at(new, ei, lab[ej])
-            np.minimum.at(new, ej, lab[ei])
-        new = new[new]  # pointer jumping
-        if np.array_equal(new, lab):
-            return lab
-        lab = new
-
-
 def semdedup(ds, centroids: np.ndarray, *, threshold: float = 0.4,
              embedding_col: str = "embedding", id_col: str = "vec_id",
              num_parts: int = 32, block_rows: int = 2048):
@@ -66,6 +50,7 @@ def semdedup(ds, centroids: np.ndarray, *, threshold: float = 0.4,
     corpus and ``1 - mean(keep)`` the paper's dedup fraction."""
     from fastdup_ray.relational.ops import partitioned_groupby
     from fastdup_ray.stages.ann import _normalize, ivf_assign
+    from fastdup_ray.stages.components import min_label_components
 
     assigned = ivf_assign(ds, centroids, embedding_col=embedding_col)
 
@@ -108,11 +93,11 @@ def semdedup(ds, centroids: np.ndarray, *, threshold: float = 0.4,
                 ej_parts.append(bj[upper])
             ei = np.concatenate(ei_parts) if ei_parts else np.empty(0, np.int64)
             ej = np.concatenate(ej_parts) if ej_parts else np.empty(0, np.int64)
-            lab = _group_min_label(n, ei, ej)
+            lab = min_label_components(n, ei, ej)
             reps_all[s:e] = ids[lab]
         return _out(ids_all, cells, reps_all)
 
     return partitioned_groupby(
         assigned, "cell", per_partition,
-        num_parts=num_parts, prune_empty=True, batch_format="pyarrow",
+        num_parts=num_parts, batch_format="pyarrow",
     )

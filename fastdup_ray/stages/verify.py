@@ -25,6 +25,8 @@ from fastdup_ray.functions.hashing import mix64
 from fastdup_ray.relational.ops import (
     cogroup_join,
     in_sorted,
+    nonempty_block_refs,
+    remote_fn,
     sorted_unique_ref,
     with_schema,
 )
@@ -440,15 +442,8 @@ def verify_pairs(pairs, signatures, docs, config: DedupConfig | None = None,
     # Only pair ENDPOINTS are ever looked up, and endpoints scale with the
     # candidate budget, not the corpus (~15% of docs here; a tiny fraction
     # at 10^12 docs). Their sorted-unique set is reduced entirely in tasks
-    # (only its length reaches the driver).
+    # and never reaches the driver.
     ends_ref = sorted_unique_ref(pairs, ["src", "dst"])
-
-    @ray.remote
-    def _arr_len(a: np.ndarray) -> int:
-        return int(a.shape[0])
-
-    n_endpoints = int(ray.get(_arr_len.remote(ends_ref)))
-    _phase("endpoint_reduce")
 
     def _endpoint_filter(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -457,20 +452,14 @@ def verify_pairs(pairs, signatures, docs, config: DedupConfig | None = None,
     if shingle_sets is None:
         shingle_sets = signatures.select_columns(["doc_id", "shingles"])
     # ONE fused pass: endpoint-filter + pack, materialized once — the
-    # sizing sample, the broadcast index build AND the join fallback all
+    # payload sizing, the broadcast index build AND the join fallback all
     # consume this endpoint-only packed table
     packed = shingle_sets.map_batches(
         _endpoint_filter, batch_format="pyarrow"
     ).map_batches(_pack_shingles, batch_format="pyarrow").materialize()
     _phase("pack_filter_materialize")
     # ---- broadcast path: payload table fits in the object store ----
-    # rough payload estimate: avg set size x 4 bytes; sample 1k rows
-    sample = packed.limit(1000).take_all()
-    avg = (
-        float(np.mean([len(r["sh_bin"]) // 4 for r in sample]))
-        if sample else 0.0
-    )
-    if n_endpoints * avg * 4 <= cfg.verify_broadcast_max_bytes:
+    if _payload_bytes(packed, "sh_bin") <= cfg.verify_broadcast_max_bytes:
         refs, router = _build_index_shards(
             packed, "sh_bin", cfg.verify_index_shards
         )
@@ -496,6 +485,24 @@ def verify_pairs(pairs, signatures, docs, config: DedupConfig | None = None,
         on="dst", right_on="doc_id", num_parts=np_parts,
     )
     return joined.map_batches(_exact_jaccard_batch(), batch_format="pyarrow")
+
+
+def _binary_bytes(t: pa.Table, col: str) -> int:
+    import pyarrow.compute as pc
+
+    return int(pc.sum(pc.binary_length(t[col])).as_py() or 0)
+
+
+def _payload_bytes(packed, bin_col: str) -> int:
+    """Exact byte sum of the binary column `bin_col` over a materialized
+    Dataset: one tiny task per block sums its value lengths (no Ray Data
+    execution, no sample)."""
+    import ray
+
+    block_bytes = remote_fn(_binary_bytes)
+    return sum(ray.get([
+        block_bytes.remote(ref, bin_col) for ref in nonempty_block_refs(packed)
+    ]))
 
 
 def _pack_shingles(batch: pa.Table) -> pa.Table:

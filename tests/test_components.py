@@ -1,9 +1,11 @@
-"""Connected components: the driver union-find route, star contraction
+"""Connected components: the driver min-label route, star contraction
 (the distributed route) and the dispatch between them."""
 
 import numpy as np
 import pyarrow as pa
 import ray.data as rd
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fastdup_ray.config import DedupConfig
 
@@ -17,7 +19,7 @@ def _edges_table(pairs):
 
 
 def test_star_contraction_matches_union_find(ray_session):
-    """connected_components_star == driver union-find on random graphs
+    """connected_components_star == union-find oracle on random graphs
     (several densities/seeds), including duplicate and reversed edges."""
     from fastdup_ray.stages.components import (
         connected_components_star, union_find_oracle)
@@ -62,7 +64,7 @@ def test_star_contraction_log_rounds_on_path_graph(ray_session):
 
 def test_cc_distributed_dispatch_and_empty(ray_session, monkeypatch):
     """Above cc_driver_max_edges, connected_components runs star
-    contraction; at or below it the driver union-find; both give the
+    contraction; at or below it the driver min-label route; both give the
     oracle's labels. Empty edge sets are fine."""
     from fastdup_ray.stages import components
     from fastdup_ray.stages.components import (
@@ -88,3 +90,57 @@ def test_cc_distributed_dispatch_and_empty(ray_session, monkeypatch):
     # assert on the Dataset schema (the library surface)
     assert empty.count() == 0
     assert [f.name for f in empty.schema().base_schema] == ["node", "label"]
+
+
+@st.composite
+def _graphs(draw):
+    """(node ids, edge list): random multigraphs with self-loops, path
+    chains of diameter n-1 over permuted ids, or no edges at all."""
+    n = draw(st.integers(1, 60))
+    ids = draw(st.lists(st.integers(-(2**62), 2**62), min_size=n, max_size=n,
+                        unique=True))
+    shape = draw(st.sampled_from(["random", "path", "empty"]))
+    if shape == "empty":
+        return ids, []
+    if shape == "path":
+        order = draw(st.permutations(range(n)))
+        return ids, [(ids[a], ids[b]) for a, b in zip(order, order[1:])]
+    idx = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(idx, idx), max_size=3 * n))
+    return ids, [(ids[a], ids[b]) for a, b in edges]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graphs())
+def test_min_label_components_matches_union_find(graph):
+    """The numpy hook-and-jump kernel labels every endpoint with its
+    component's minimum id, exactly as the dict union-find oracle does —
+    on random graphs with self-loops and duplicate edges, on long path
+    chains and on the empty graph."""
+    from fastdup_ray.stages.components import (
+        min_label_components, union_find_oracle)
+
+    _, pairs = graph
+    src = np.array([a for a, _ in pairs], np.int64)
+    dst = np.array([b for _, b in pairs], np.int64)
+    nodes, idx = np.unique(np.concatenate([src, dst]), return_inverse=True)
+    lab = min_label_components(nodes.shape[0], idx[: src.shape[0]],
+                               idx[src.shape[0]:])
+    assert dict(zip(nodes.tolist(), nodes[lab].tolist())) == union_find_oracle(pairs)
+
+
+@settings(max_examples=15, deadline=None)
+@given(_graphs())
+def test_driver_cc_route_matches_union_find(ray_session, graph):
+    """connected_components below cc_driver_max_edges == the union-find
+    oracle over the non-self-loop edges, with rows sorted by node."""
+    from fastdup_ray.stages.components import (
+        connected_components, union_find_oracle)
+
+    _, pairs = graph
+    got = connected_components(_edges_table(pairs), DedupConfig())
+    expect = union_find_oracle([(a, b) for a, b in pairs if a != b])
+    rows = got.take_all()
+    assert [r["node"] for r in rows] == sorted(expect)
+    assert {r["node"]: r["label"] for r in rows} == expect
+    assert [f.name for f in got.schema().base_schema] == ["node", "label"]

@@ -1,0 +1,98 @@
+"""partitioned_groupby's hash exchange against a pandas groupby oracle:
+int, string and composite keys, 1-8 input blocks (some empty), 1-64
+partitions, empty input and a single shared key."""
+
+import uuid
+
+import numpy as np
+import pandas as pd
+import pyarrow as pa
+import ray
+import ray.data as rd
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fastdup_ray.relational.ops import partitioned_groupby
+
+KEYS = {"int": ["k"], "str": ["s"], "composite": ["k", "s"]}
+
+
+def _aggregator(keys: list, batch_format: str):
+    """apply_fn: per-key row count and value sum, tagged with an id
+    unique to the call, so a key that reached two calls shows up twice.
+    Built as a closure so Ray ships it by value to the workers."""
+    def aggregate(d: pd.DataFrame) -> pd.DataFrame:
+        out = d.groupby(keys, as_index=False).agg(n=("v", "size"),
+                                                  total=("v", "sum"))
+        out["call"] = uuid.uuid4().hex
+        return out
+
+    if batch_format == "pandas":
+        return aggregate
+    return lambda t: pa.Table.from_pandas(aggregate(t.to_pandas()),
+                                          preserve_index=False)
+
+
+@st.composite
+def _inputs(draw):
+    n = draw(st.integers(0, 120))
+    one_key = draw(st.booleans())
+    n_keys = 1 if one_key else draw(st.integers(1, 40))
+    ks = draw(st.lists(st.integers(-(2**40), 2**40), min_size=n_keys,
+                       max_size=n_keys))
+    pick = draw(st.lists(st.integers(0, n_keys - 1), min_size=n, max_size=n))
+    df = pd.DataFrame({
+        "k": np.array([ks[i] for i in pick], np.int64),
+        "s": [f"key-{ks[i] % 7}" for i in pick],
+        "v": np.arange(n, dtype=np.int64),
+    })
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=0, max_size=7)))
+    blocks = [df.iloc[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+    return (df, blocks, draw(st.sampled_from(sorted(KEYS))),
+            draw(st.integers(1, 64)), draw(st.sampled_from(["pandas", "pyarrow"])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_inputs())
+def test_partitioned_groupby_matches_pandas_oracle(ray_session, case):
+    """Output multiset == pandas groupby; each key reaches exactly one
+    apply_fn call; no output block has zero rows or zero columns; empty
+    input gives apply_fn's typed empty result."""
+    df, blocks, key_kind, num_parts, batch_format = case
+    keys = KEYS[key_kind]
+    ds = rd.from_arrow([pa.Table.from_pandas(b, preserve_index=False)
+                        for b in blocks])
+
+    fn = _aggregator(keys, batch_format)
+    out = partitioned_groupby(ds, keys, fn, num_parts=num_parts,
+                              batch_format=batch_format)
+    cols = keys + ["n", "total", "call"]
+    assert [f.name for f in out.schema().base_schema] == cols
+
+    metas = [m for b in out.iter_internal_ref_bundles() for _, m in b.blocks]
+    if df.empty:
+        assert out.count() == 0
+        return
+    assert metas and all(m.num_rows > 0 for m in metas)
+    tables = [ray.get(r) for r in out.to_arrow_refs()]
+    assert all(t.num_columns == len(cols) for t in tables)
+
+    got = pd.concat([t.to_pandas() for t in tables], ignore_index=True)
+    # one output row per key: a key split across two calls appears twice
+    assert not got.duplicated(keys).any()
+    # every apply_fn call saw whole keys only; calls <= partitions
+    assert got["call"].nunique() <= num_parts
+    expect = df.groupby(keys, as_index=False).agg(n=("v", "size"),
+                                                  total=("v", "sum"))
+    sort = lambda d: d[keys + ["n", "total"]].sort_values(keys).reset_index(drop=True)  # noqa: E731
+    pd.testing.assert_frame_equal(sort(got), sort(expect), check_dtype=False)
+
+
+def test_partitioned_groupby_uses_at_most_one_partition_per_input_block(ray_session):
+    """P = min(num_parts, non-empty input blocks): three blocks and 64
+    requested partitions give at most three apply_fn calls."""
+    df = pd.DataFrame({"k": np.arange(300, dtype=np.int64), "v": 1})
+    ds = rd.from_pandas([df.iloc[i::3] for i in range(3)])
+    out = partitioned_groupby(ds, "k", _aggregator(["k"], "pandas"), num_parts=64)
+    got = out.to_pandas()
+    assert len(got) == 300 and got["call"].nunique() <= 3
