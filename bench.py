@@ -3,8 +3,6 @@
 
 Usage:
     python bench.py                # one run at $RAY_GRAFT_CPUS (default 32)
-    python bench.py --scaling      # fresh 8-cpu and 32-cpu processes on the
-                                   # same input; reports scaling efficiency
 
 Input: $GRAFT_SF_DIR (default /root/testdata/sf0.1). The headline corpus
 is the `pages` table derived deterministically from that dir's documents
@@ -23,7 +21,6 @@ from __future__ import annotations
 import json
 import os
 import shutil
-import subprocess
 import sys
 import time
 
@@ -87,8 +84,8 @@ def run_bench() -> dict:
 
     # ---- headline: e2e dedup over the derived pages corpus ----
     # corpus synthesized Ray-parallel (order-free per-row seeding) and
-    # cached to parquet, shared by the 8- and 32-cpu scaling runs; the
-    # timed section starts from a parquet read like a real job would
+    # cached to parquet, shared by every run at this sf and replication;
+    # the timed section starts from a parquet read like a real job would
     sf_tag = sf_dir.strip("/").replace("/", "_")
     corpus_dir = f"/tmp/fastdup_ray_corpus_{sf_tag}_r{replicate}"
     if not os.path.exists(os.path.join(corpus_dir, "_DONE")):
@@ -105,17 +102,9 @@ def run_bench() -> dict:
     work_dir = f"/dev/shm/fastdup_ray_bench_{ncpu}"
     shutil.rmtree(work_dir, ignore_errors=True)
     # BENCH_NO_CHECKPOINT=1: skip the per-stage Parquet checkpoint writes
-    # (stages still materialize). On a real cluster checkpoint IO lands on
-    # S3/HDFS whose aggregate bandwidth scales with node count; this
-    # box's memory bus is a fixed serial resource, so for the N-vs-4N
-    # scaling question the no-checkpoint run is the faithful proxy.
-    # Default (driver runs) keeps checkpoints on — the honest e2e wall.
+    # (stages still materialize). Default keeps checkpoints on — the
+    # honest e2e wall.
     ckpt = () if os.environ.get("BENCH_NO_CHECKPOINT") else None
-    # 16 GB broadcast budget: the 2M-page corpus' packed shingle index is
-    # ~9.6 GB — under the library's conservative 4 GB default the verify
-    # stage silently fell back to the join path. This box (and a typical
-    # cluster node) holds the sharded index comfortably; the join
-    # fallback has its own equivalence test.
     # BENCH_SIGNER picks the sign kernel; the bench default is
     # one-permutation hashing (1 shingle pass instead of 128 — same
     # 128-wide signature family over the same char-5-gram shingles).
@@ -126,7 +115,6 @@ def run_bench() -> dict:
     # BENCH_SIGNER=minhash restores the classic 128-permutation kernel.
     cfg = DedupConfig(num_partitions=min(64, ncpu), extract_concurrency=ncpu,
                       checkpoint_stages=ckpt,
-                      verify_broadcast_max_bytes=16_000_000_000,
                       signer=os.environ.get("BENCH_SIGNER", "oph"))
     pipe = NearDupPipeline(cfg, work_dir=work_dir)
 
@@ -134,8 +122,8 @@ def run_bench() -> dict:
         float(os.environ.get("BENCH_HOST_WAIT_S", "900")))
 
     # background sampler: the host can collapse mid-run between the entry
-    # and exit probes; recording the worst probe DURING the run lets the
-    # scaling analysis keep only reps that were healthy end-to-end
+    # and exit probes; recording the worst probe DURING the run flags a
+    # rep that was not healthy end-to-end
     import threading
 
     samples: list[tuple[float, float]] = []
@@ -159,7 +147,7 @@ def run_bench() -> dict:
     probe_exit = host_probe()
     probe_max_mid = round(max((p for _, p in samples), default=0.0), 3)
     # per-stage compute walls, recorded in-memory by the pipeline (works
-    # in no-checkpoint mode too — the scaling series needs them)
+    # in no-checkpoint mode too)
     stage_walls = dict(pipe.stage_walls)
 
     # ---- query suite (skip the O(sum df^2) ngram oracle query at bench
@@ -241,162 +229,10 @@ def run_bench() -> dict:
     }
 
 
-def run_scaling() -> None:
-    # N-vs-4N proxy pair; override for corroboration series (e.g. 4 vs 16,
-    # which keeps the high side under this box's memory-bus saturation
-    # point while preserving the 4x parallelism ratio)
-    lo = int(os.environ.get("BENCH_SCALING_LO", "8"))
-    hi = int(os.environ.get("BENCH_SCALING_HI", "32"))
-    # best-of-N, interleaved (lo,hi,lo,hi): single-shot A/B comparisons on
-    # a shared box are corrupted by background load landing in one phase
-    # (observed: identical code, 66s vs 145s for the same stage); min over
-    # interleaved reps estimates the uncontended wall for BOTH sizes
-    reps = int(os.environ.get("BENCH_SCALING_REPS", "2"))
-    results: dict[int, list[dict]] = {lo: [], hi: []}
-    for _rep in range(reps):
-        for ncpu in (lo, hi):
-            # larger corpus for the scaling comparison: at the default size
-            # the run is fixed-overhead-bound and under-reports speedup
-            env = dict(
-                os.environ,
-                RAY_GRAFT_CPUS=str(ncpu),
-                BENCH_REPLICATE=os.environ.get("BENCH_REPLICATE", "400"),
-                BENCH_SKIP_QUERIES="1",  # scaling compares the headline only
-                # no-checkpoint by default: per-stage Parquet checkpoint IO
-                # lands on object stores whose bandwidth scales with node
-                # count on a real N-vs-4N cluster; on this single box it's
-                # a fixed memory-bus cost that would penalize only the
-                # high-parallelism run. BENCH_SCALING_CHECKPOINT=1 keeps
-                # checkpoints on for the comparison.
-                **({} if os.environ.get("BENCH_SCALING_CHECKPOINT")
-                   else {"BENCH_NO_CHECKPOINT": "1"}),
-            )
-            out = subprocess.run(
-                [sys.executable, os.path.abspath(__file__)],
-                env=env, capture_output=True, text=True, check=True,
-            ).stdout
-            results[ncpu].append(json.loads(out.strip().splitlines()[-1]))
-            time.sleep(5)  # let the previous Ray session's teardown settle
-    best_lo = min(results[lo], key=lambda r: r["value"])
-    best_hi = min(results[hi], key=lambda r: r["value"])
-    t_lo, t_hi = best_lo["value"], best_hi["value"]
-    eff = (t_lo / t_hi) / (hi / lo)
-    print(json.dumps({
-        "metric": "scaling_efficiency",
-        "value": round(eff, 3),
-        "unit": "ratio",
-        f"sec_{lo}": t_lo,
-        f"sec_{hi}": t_hi,
-        f"docs_per_sec_{lo}": best_lo["docs_per_sec"],
-        f"docs_per_sec_{hi}": best_hi["docs_per_sec"],
-        f"all_sec_{lo}": [r["value"] for r in results[lo]],
-        f"all_sec_{hi}": [r["value"] for r in results[hi]],
-        "host_probes": [r.get("host_probe_s") for r in results[lo] + results[hi]],
-        "reps": reps,
-        "sf": best_hi["sf"],
-        "corpus_docs": best_hi["corpus_docs"],
-    }))
-
-
-def _quiet_box_gate(k: int = 3, probe_max: float = 0.5,
-                    load_max: float = 4.0, interval_s: float = 5.0,
-                    max_wait_s: float = 1800.0) -> bool:
-    """The measurement gate BASELINE.md's round-3 addendum specified:
-    K CONSECUTIVE clean memcpy probes AND a quiet box (1-min loadavg
-    under `load_max` — no overlapping dev jobs) before a paired cycle
-    may start. Returns False if the window never opens in max_wait_s."""
-    deadline = time.monotonic() + max_wait_s
-    streak = 0
-    while time.monotonic() < deadline:
-        load1 = os.getloadavg()[0]
-        p = host_probe()
-        if p < probe_max and load1 < load_max:
-            streak += 1
-            if streak >= k:
-                return True
-        else:
-            streak = 0
-            print(f"[gate] probe={p:.2f}s load1={load1:.1f} — waiting",
-                  file=sys.stderr)
-        time.sleep(interval_s)
-    return False
-
-
-def run_scaling_series() -> None:
-    """>= N clean paired 8-vs-32 cycles, each behind the consecutive-
-    clean-probe + quiet-box gate; a cycle only counts as clean when BOTH
-    reps' entry, exit and every mid-run probe are healthy. Prints one
-    JSON line with the per-cycle table and the clean-cycle median
-    efficiency (the north-rule scaling criterion)."""
-    lo = int(os.environ.get("BENCH_SCALING_LO", "8"))
-    hi = int(os.environ.get("BENCH_SCALING_HI", "32"))
-    target_clean = int(os.environ.get("BENCH_SERIES_CLEAN", "6"))
-    max_cycles = int(os.environ.get("BENCH_SERIES_MAX", "14"))
-    probe_max = float(os.environ.get("BENCH_PROBE_MAX", "0.5"))
-    cycles = []
-    clean = 0
-    for c in range(max_cycles):
-        if clean >= target_clean:
-            break
-        if not _quiet_box_gate(probe_max=probe_max):
-            print(f"[series] gate never opened for cycle {c}", file=sys.stderr)
-            continue
-        reps = {}
-        for ncpu in (lo, hi):
-            env = dict(
-                os.environ, RAY_GRAFT_CPUS=str(ncpu),
-                BENCH_REPLICATE=os.environ.get("BENCH_REPLICATE", "400"),
-                BENCH_SKIP_QUERIES="1", BENCH_HOST_WAIT_S="60",
-                **({} if os.environ.get("BENCH_SCALING_CHECKPOINT")
-                   else {"BENCH_NO_CHECKPOINT": "1"}),
-            )
-            out = subprocess.run(
-                [sys.executable, os.path.abspath(__file__)],
-                env=env, capture_output=True, text=True, check=True,
-            ).stdout
-            reps[ncpu] = json.loads(out.strip().splitlines()[-1])
-            time.sleep(5)
-        probes = [
-            reps[n][k] for n in (lo, hi)
-            for k in ("host_probe_s", "host_probe_exit_s", "host_probe_max_mid_s")
-        ]
-        is_clean = all(p <= probe_max for p in probes)
-        t_lo, t_hi = reps[lo]["value"], reps[hi]["value"]
-        eff = round((t_lo / t_hi) / (hi / lo), 3)
-        cycles.append({
-            "cycle": c, "t_lo": t_lo, "t_hi": t_hi, "eff": eff,
-            "clean": is_clean, "probes": [round(p, 3) for p in probes],
-            "stage_walls_lo": reps[lo].get("stage_walls"),
-            "stage_walls_hi": reps[hi].get("stage_walls"),
-        })
-        clean += is_clean
-        print(f"[series] cycle {c}: t{lo}={t_lo} t{hi}={t_hi} eff={eff} "
-              f"clean={is_clean} ({clean}/{target_clean})", file=sys.stderr)
-    clean_effs = sorted(cc["eff"] for cc in cycles if cc["clean"])
-    med = (clean_effs[len(clean_effs) // 2]
-           if len(clean_effs) % 2 else
-           (clean_effs[len(clean_effs) // 2 - 1]
-            + clean_effs[len(clean_effs) // 2]) / 2) if clean_effs else None
-    print(json.dumps({
-        "metric": "scaling_series",
-        "value": med,
-        "unit": "median clean-cycle efficiency",
-        "lo": lo, "hi": hi,
-        "clean_cycles": len(clean_effs),
-        "clean_effs": clean_effs,
-        "cycles": cycles,
-    }))
-
-
 if __name__ == "__main__":
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-    if "--scaling-series" in sys.argv:
-        run_scaling_series()
-    elif "--scaling" in sys.argv:
-        run_scaling()
-    else:
-        result = run_bench()
-        print(json.dumps(result))
-        import ray
+    result = run_bench()
+    print(json.dumps(result))
+    import ray
 
-        ray.shutdown()
+    ray.shutdown()

@@ -47,18 +47,6 @@ class DedupConfig:
     #     reference __init__.py:519-520) ---
     min_text_len: int = 20         # chars; shorter docs -> is_valid=False, error_code="TOO_SHORT"
 
-    # --- verification (exact shingle-set Jaccard) ---
-    # when the corpus' packed shingle sets fit under this many bytes, the
-    # verify stage broadcasts them once via ray.put (one zero-copy plasma
-    # read per node) and scores pairs with pure lookups — no payload
-    # shuffle. Above it, two hash joins ship the sets to the pairs.
-    verify_broadcast_max_bytes: int = 4_000_000_000
-    # the broadcast index is built as this many doc_id-sharded pieces by
-    # parallel Ray tasks (no driver-side collection); verify tasks fetch
-    # only the shards their batch touches. On one node every shard is a
-    # zero-copy plasma read.
-    verify_index_shards: int = 16
-
     # --- skew handling (hot LSH buckets; SURVEY.md §4 "Skew") ---
     max_bucket_pairs: int = 32     # buckets with <= this many docs emit all C(m,2) pairs;
                                    # larger buckets emit a star to the min doc_id (keeps the

@@ -194,8 +194,8 @@ class NearDupPipeline:
         self._ckpt_threads: list = []
         self._ckpt_errors: list = []
         # compute wall per executed stage (seconds), recorded whether or
-        # not the stage checkpoints — the scaling series runs in
-        # no-checkpoint mode and still needs per-stage scaling evidence
+        # not the stage checkpoints — bench.py's no-checkpoint runs
+        # still report per-stage walls
         self.stage_walls: dict[str, float] = {}
 
     def _hook(self, name: str, ds):

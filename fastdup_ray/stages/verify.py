@@ -8,14 +8,20 @@ stages/shingles.py), scored by a vectorized sorted-array intersection —
 exact because a 128-perm MinHash estimate has ~+-0.02 noise right at
 the 0.96 component threshold.
 
-Only pair endpoints are indexed. Below `verify_broadcast_max_bytes` the
-endpoint sets are broadcast as doc_id-sharded indexes and pairs are
-scored with pure lookups; above it, two joins hash-partitioned on doc_id
-ship the sets to the pairs. The pair side is LSH-candidate-sized
-(<< corpus^2), so cost is linear in candidates + corpus.
+Only pair endpoints are indexed. Their packed sets are hash-sharded by
+doc_id (the exchange's avalanche hash) into S = ceil(payload bytes /
+_SHARD_BYTES) index shards, one build task per shard. Pairs are scored
+by a map over pair batches: each batch groups its pairs by
+(src_shard, dst_shard) cell and walks the cells in order, holding at
+most two shards at a time. A scoring task's index memory is thus
+bounded at any corpus size, with no join path. The pair side is
+LSH-candidate-sized (<< corpus^2), so cost is linear in candidates +
+corpus.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pyarrow as pa
@@ -23,7 +29,9 @@ import pyarrow as pa
 from fastdup_ray.config import DedupConfig
 from fastdup_ray.functions.hashing import mix64
 from fastdup_ray.relational.ops import (
-    cogroup_join,
+    _part_ids,
+    _split_blocks,
+    empty_typed,
     in_sorted,
     nonempty_block_refs,
     remote_fn,
@@ -32,48 +40,19 @@ from fastdup_ray.relational.ops import (
 )
 from fastdup_ray.stages.shingles import list_column_arrays
 
-
-def _exact_jaccard_batch():
-    def fn(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        val_a, off_a = _binary_column_flat(batch["sh_bin"])
-        val_b, off_b = _binary_column_flat(batch["sh_bin_r"])
-        n = batch.num_rows
-        dist = np.zeros(n, dtype=np.float64)
-        la, lb = np.diff(off_a), np.diff(off_b)
-        # byte-identical packed sets (exact-dup endpoints — common in web
-        # corpora) short-circuit to J=1.0 without an intersection
-        same = pc.equal(batch["sh_bin"], batch["sh_bin_r"]).to_numpy(
-            zero_copy_only=False
-        ) & (la > 0)
-        dist[same] = 1.0
-        rest = np.flatnonzero(~same & ((la > 0) | (lb > 0)))
-        if rest.size:
-            _exact_scores_block(
-                val_a, off_a[:-1][rest], off_a[1:][rest],
-                val_b, off_b[:-1][rest], off_b[1:][rest], dist, rest,
-            )
-        return pa.table(
-            {
-                "src": batch["src"],
-                "dst": batch["dst"],
-                "distance": pa.array(dist, pa.float64()),
-            }
-        )
-
-    return fn
+# Packed-set bytes per index shard. A scoring task holds at most two
+# shards, so this bounds its index memory whatever the corpus size.
+_SHARD_BYTES = 256 << 20
 
 
 class _SetIndex:
-    """Broadcastable (doc_id -> uint32-set) index: flat numpy arrays,
+    """(doc_id -> uint32-set) index shard: flat numpy arrays,
     zero-copy-readable from the object store. Values stay in ingest
     order; lookups go sorted-ids -> permutation -> original offsets
     (reordering 10^8 values costs more than one extra indirection)."""
 
     def __init__(self, ids_sorted: np.ndarray, perm: np.ndarray,
-                 offsets: np.ndarray, values: np.ndarray,
-                 hashes: np.ndarray | None = None):
+                 offsets: np.ndarray, values: np.ndarray, hashes: np.ndarray):
         self.ids = ids_sorted
         self.perm = perm
         self.offsets = offsets
@@ -81,10 +60,7 @@ class _SetIndex:
         # per-doc uint64 fingerprint of the set (ingest order, like
         # offsets; see _set_fingerprints): equal sets have equal
         # fingerprints, so equal-set pairs can short-circuit to J=1.0
-        self.hashes = (
-            hashes if hashes is not None
-            else np.zeros(max(0, offsets.shape[0] - 1), np.uint64)
-        )
+        self.hashes = hashes
 
     def lookup(self, doc_ids: np.ndarray):
         """(start, end, set_hash) per requested doc (end=start, hash=0 if
@@ -132,75 +108,45 @@ def _set_fingerprints(values: np.ndarray, offs: np.ndarray) -> np.ndarray:
     return fp
 
 
-def _build_index_shards(packed, bin_col: str, num_shards: int):
-    """Build doc_id-sharded _SetIndex objects plus a routing table.
+def _shard_of(doc_ids: np.ndarray, num_shards: int) -> np.ndarray:
+    """Index shard of each doc: the exchange's hash partition of doc_id,
+    so `_split_blocks(..., ["doc_id"], S)` puts each set in its shard."""
+    return _part_ids(pa.table({"doc_id": doc_ids}), ["doc_id"], num_shards)
 
-    Shards are DISJOINT BLOCK GROUPS (blocks[s::num_shards]): each build
-    task reads only its own ~1/num_shards of the packed data — the keys
-    to single-node scaling are that no task fans over the full table
-    (first-touch page faults of the shared plasma mapping were measured
-    at 4-8 s per 16-way-concurrent wave when every task scanned every
-    block) and that nothing touches the driver (the round-1
-    driver-serial `iter_batches` collection anti-scaled 0.6x at 32 cpus).
-    Because block groups don't key by doc_id, a small ROUTER object
-    (globally sorted ids + their shard) built by one follow-up task maps
-    each doc to its shard at lookup time. On a multi-node cluster the
-    natural variant is hash-sharding with pairs pre-partitioned by shard
-    so each node pins only its shards; the router (9 B/doc) stays
-    single-node-sized here.
 
-    Returns (shard_refs: list[ObjectRef[_SetIndex]],
-             router_ref: ObjectRef[(ids_sorted, shard_of)]).
-    """
-    import ray
+def _build_shard(*tables: pa.Table) -> _SetIndex:
+    """One index shard over the packed (doc_id, sh_bin) tables given (an
+    empty shard when none are)."""
+    ids = [np.empty(0, np.int64)]
+    lens = [np.empty(0, np.int64)]
+    vals = [np.empty(0, np.uint32)]
+    fps = [np.empty(0, np.uint64)]
+    for t in tables:
+        values, offs = _binary_column_flat(t["sh_bin"])
+        ids.append(t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64))
+        lens.append(np.diff(offs))
+        vals.append(values)
+        fps.append(_set_fingerprints(values, offs))
+    ids = np.concatenate(ids)
+    order = np.argsort(ids, kind="stable")
+    off = np.zeros(ids.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(lens), out=off[1:])
+    return _SetIndex(ids[order], order, off, np.concatenate(vals),
+                     np.concatenate(fps))
 
-    blocks = packed.materialize().to_arrow_refs()
 
-    empty = _SetIndex(np.empty(0, np.int64), np.empty(0, np.int64),
-                      np.zeros(1, np.int64), np.empty(0, np.uint32),
-                      np.empty(0, np.uint64))
-    empty_router = (np.empty(0, np.int64), np.empty(0, np.int32))
-    if not blocks:
-        return [ray.put(empty) for _ in range(num_shards)], ray.put(empty_router)
-    num_shards = min(num_shards, len(blocks))
+def _build_index(packed) -> list:
+    """Refs of the S doc_id-sharded index shards of the materialized
+    packed table, S = ceil(exact payload bytes / _SHARD_BYTES) >= 1.
 
-    @ray.remote
-    def build_shard(*tables):
-        id_parts, len_parts, val_parts, hash_parts = [], [], [], []
-        for t in tables:
-            if t.num_rows == 0:
-                continue
-            id_parts.append(
-                t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-            )
-            values, offs = _binary_column_flat(t[bin_col])
-            len_parts.append(np.diff(offs))
-            val_parts.append(np.asarray(values))
-            hash_parts.append(_set_fingerprints(values, offs))
-        if not id_parts:
-            return empty
-        ids = np.concatenate(id_parts)
-        lens = np.concatenate(len_parts)
-        values = np.concatenate(val_parts)
-        hashes = np.concatenate(hash_parts)
-        order = np.argsort(ids, kind="stable")
-        off = np.zeros(ids.shape[0] + 1, dtype=np.int64)
-        np.cumsum(lens, out=off[1:])
-        return _SetIndex(ids[order], order.astype(np.int64), off, values, hashes)
-
-    @ray.remote
-    def build_router(*shards):
-        ids = np.concatenate([s.ids for s in shards])
-        shard_of = np.concatenate(
-            [np.full(s.ids.shape[0], i, np.int32) for i, s in enumerate(shards)]
-        )
-        order = np.argsort(ids, kind="stable")
-        return ids[order], shard_of[order]
-
-    shard_refs = [
-        build_shard.remote(*blocks[s::num_shards]) for s in range(num_shards)
-    ]
-    return shard_refs, build_router.remote(*shard_refs)
+    Every shard is built by its own task and nothing touches the driver.
+    At S = 1 one task reads every block; above, the exchange's split
+    tasks route each row to its shard first."""
+    refs = nonempty_block_refs(packed)
+    num_shards = max(1, -(-_payload_bytes(packed, "sh_bin") // _SHARD_BYTES))
+    parts = [refs] if num_shards == 1 else _split_blocks(refs, ["doc_id"], num_shards)
+    build = remote_fn(_build_shard)
+    return [build.remote(*p) for p in parts]
 
 
 def _gather_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -310,91 +256,67 @@ def _exact_scores_block(vals_a, sa, ea, vals_b, sb, eb, out, out_rows) -> None:
         lo = hi
 
 
-def _broadcast_verify(pairs, shard_refs, router_ref):
-    """Score pairs against doc_id-sharded _SetIndex objects.
-
-    Each map task routes its docs to shards via the router (one
-    searchsorted), groups the batch by (src_shard, dst_shard) and runs a
-    fully vectorized kernel per group — no per-pair Python. Shard fetches
-    are zero-copy plasma reads; a batch only touches the shards its docs
-    live in.
-    """
+def _fetch(ref) -> _SetIndex:
+    """One index shard from the object store (a zero-copy read on one
+    node)."""
     import ray
 
-    num_shards = len(shard_refs)
+    return ray.get(ref)
 
-    def fn(batch: pa.Table) -> pa.Table:
-        src = batch["src"].to_numpy(zero_copy_only=False).astype(np.int64)
-        dst = batch["dst"].to_numpy(zero_copy_only=False).astype(np.int64)
-        n = src.shape[0]
-        dist = np.zeros(n, dtype=np.float64)
-        r_ids, r_shard = ray.get(router_ref)
 
-        def route(docs: np.ndarray) -> np.ndarray:
-            if r_ids.shape[0] == 0:
-                return np.zeros(docs.shape[0], np.int64)
-            pos = np.clip(np.searchsorted(r_ids, docs), 0, r_ids.shape[0] - 1)
-            # unindexed docs route to shard 0, whose lookup reports absent
-            return np.where(r_ids[pos] == docs, r_shard[pos], 0).astype(np.int64)
-
-        s_sh = route(src)
-        d_sh = route(dst)
-        group_key = s_sh * num_shards + d_sh
-        order = np.argsort(group_key, kind="stable")
-        sorted_keys = group_key[order]
-        bounds = np.searchsorted(
-            sorted_keys, np.arange(num_shards * num_shards + 1)
+def _score_cell(idx_s: _SetIndex, idx_d: _SetIndex, src, dst, rows, dist) -> None:
+    """dist[rows] = exact Jaccard of (src, dst)[rows], every src in idx_s
+    and every dst in idx_d (or in neither)."""
+    sa, ea, ha = idx_s.lookup(src[rows])
+    sb, eb, hb = idx_d.lookup(dst[rows])
+    # equal set fingerprint + equal nonzero length selects CANDIDATE
+    # exact-dup endpoints; a real byte comparison confirms before
+    # assigning J=1.0 (the fingerprint is not adversarially
+    # collision-resistant — crafted collisions in an untrusted corpus
+    # must not merge components). Unconfirmed rows fall through to the
+    # full intersection.
+    same = (ha == hb) & (ea - sa == eb - sb) & (ea > sa)
+    if same.any():
+        cand = np.flatnonzero(same)
+        conf = _confirm_equal_ranges(
+            idx_s.values, sa[cand], idx_d.values, sb[cand], ea[cand] - sa[cand]
         )
-        cache: dict[int, _SetIndex] = {}
+        same[cand[~conf]] = False
+        dist[rows[same]] = 1.0
+        rest = ~same
+        rows, sa, ea, sb, eb = rows[rest], sa[rest], ea[rest], sb[rest], eb[rest]
+    _exact_scores_block(idx_s.values, sa, ea, idx_d.values, sb, eb, dist, rows)
 
-        def shard(s: int) -> _SetIndex:
-            if s not in cache:
-                cache[s] = ray.get(shard_refs[s])
-            return cache[s]
 
-        for g in range(num_shards * num_shards):
-            lo, hi = bounds[g], bounds[g + 1]
-            if lo == hi:
-                continue
-            rows = order[lo:hi]
-            idx_s = shard(g // num_shards)
-            idx_d = shard(g % num_shards)
-            sa, ea, ha = idx_s.lookup(src[rows])
-            sb, eb, hb = idx_d.lookup(dst[rows])
-            # equal set fingerprint + equal nonzero length selects
-            # CANDIDATE exact-dup endpoints; a real byte comparison
-            # confirms before assigning J=1.0 (the fingerprint is not
-            # adversarially collision-resistant — crafted collisions
-            # in an untrusted corpus must not merge components).
-            # Unconfirmed rows fall through to the full intersection.
-            same = (ha == hb) & (ea - sa == eb - sb) & (ea > sa)
-            if same.any():
-                cand = np.flatnonzero(same)
-                conf = _confirm_equal_ranges(
-                    idx_s.values, sa[cand], idx_d.values, sb[cand],
-                    ea[cand] - sa[cand],
-                )
-                same[cand[~conf]] = False
-            if same.any():
-                dist[rows[same]] = 1.0
-                rest = ~same
-                rows, sa, ea, sb, eb = (
-                    rows[rest], sa[rest], ea[rest], sb[rest], eb[rest]
-                )
-                if rows.size == 0:
-                    continue
-            _exact_scores_block(
-                idx_s.values, sa, ea, idx_d.values, sb, eb, dist, rows
-            )
-        return pa.table(
-            {
-                "src": batch["src"],
-                "dst": batch["dst"],
-                "distance": pa.array(dist, pa.float64()),
-            }
-        )
+def _score_batch(batch: pa.Table, shard_refs: list) -> pa.Table:
+    """(src, dst, distance) of one pair batch against the index shards.
 
-    return pairs.map_batches(fn, batch_format="pyarrow", batch_size=65536)
+    The batch is grouped by (src_shard, dst_shard) cell and the cells
+    are walked in order, fetching a shard only when a cell needs it and
+    dropping every shard the current cell does not: at most two shards
+    are held at a time. Shard fetches are zero-copy plasma reads."""
+    src = batch["src"].to_numpy(zero_copy_only=False).astype(np.int64)
+    dst = batch["dst"].to_numpy(zero_copy_only=False).astype(np.int64)
+    n = len(shard_refs)
+    dist = np.zeros(src.shape[0], dtype=np.float64)
+    cell = _shard_of(src, n) * n + _shard_of(dst, n)
+    order = np.argsort(cell, kind="stable")
+    cells, starts = np.unique(cell[order], return_index=True)
+    ends = np.append(starts[1:], order.shape[0])
+    held: dict[int, _SetIndex] = {}
+    for c, lo, hi in zip(cells.tolist(), starts.tolist(), ends.tolist()):
+        a, b = divmod(c, n)
+        for s in [s for s in held if s not in (a, b)]:
+            del held[s]
+        for s in (a, b):
+            if s not in held:
+                held[s] = _fetch(shard_refs[s])
+        _score_cell(held[a], held[b], src, dst, order[lo:hi], dist)
+    return pa.table({
+        "src": batch["src"],
+        "dst": batch["dst"],
+        "distance": pa.array(dist, pa.float64()),
+    })
 
 
 def verify_pairs(pairs, signatures, docs, config: DedupConfig | None = None,
@@ -403,41 +325,17 @@ def verify_pairs(pairs, signatures, docs, config: DedupConfig | None = None,
 
     pairs: Dataset (src, dst); signatures: the `SignStage` output, whose
     (doc_id, shingles) columns are the sets scored unless `shingle_sets`
-    (doc_id, shingles) is supplied. `docs` is no longer read; it stays
-    in the signature for existing callers.
+    (doc_id, shingles) is supplied. `docs` and `config` are not read;
+    they stay in the signature for existing callers.
     """
-    import os
-    import sys
-    import time
-
     import ray
-
-    cfg = config or DedupConfig()
-    np_parts = cfg.num_partitions
-
-    # FASTDUP_VERIFY_PHASES=1: print driver-side phase walls to stderr —
-    # the fixed-cost attribution tool behind BASELINE.md's scaling
-    # decomposition (each phase below is a serial barrier on the driver)
-    _t0 = time.monotonic()
-    _phase_log = os.environ.get("FASTDUP_VERIFY_PHASES") == "1"
-
-    def _phase(name: str):
-        nonlocal _t0
-        if _phase_log:
-            now = time.monotonic()
-            print(f"[verify-phase] {name}: {now - _t0:.3f}s",
-                  file=sys.stderr)
-            _t0 = now
 
     pairs = pairs.materialize()
     if pairs.count() == 0:
-        from fastdup_ray.relational.ops import empty_typed
-
         return empty_typed(
             {"src": pa.int64(), "dst": pa.int64(), "distance": pa.float64()}
         )
     pairs = with_schema(pairs, {"src": pa.int64(), "dst": pa.int64()})
-    _phase("pairs_materialize")
 
     # Only pair ENDPOINTS are ever looked up, and endpoints scale with the
     # candidate budget, not the corpus (~15% of docs here; a tiny fraction
@@ -451,40 +349,18 @@ def verify_pairs(pairs, signatures, docs, config: DedupConfig | None = None,
 
     if shingle_sets is None:
         shingle_sets = signatures.select_columns(["doc_id", "shingles"])
-    # ONE fused pass: endpoint-filter + pack, materialized once — the
-    # payload sizing, the broadcast index build AND the join fallback all
-    # consume this endpoint-only packed table
+    # ONE fused pass: endpoint-filter + pack, materialized once; the
+    # payload sizing and the shard builds both read it
     packed = shingle_sets.map_batches(
         _endpoint_filter, batch_format="pyarrow"
     ).map_batches(_pack_shingles, batch_format="pyarrow").materialize()
-    _phase("pack_filter_materialize")
-    # ---- broadcast path: payload table fits in the object store ----
-    if _payload_bytes(packed, "sh_bin") <= cfg.verify_broadcast_max_bytes:
-        refs, router = _build_index_shards(
-            packed, "sh_bin", cfg.verify_index_shards
-        )
-        _phase("shard_build_launch")
-        return _broadcast_verify(pairs, refs, router)
-
-    # join fallback: `packed` is both join sides. acero rejects
-    # list-typed join payloads ("Data type list<uint32> is not supported
-    # in join non-key field"), hence the BINARY blobs np.frombuffer'd
-    # back in the kernel. cogroup_join, not Dataset.join: acero joins
-    # anti-scale at high parallelism on ray 2.49 (more CPUs -> slower;
-    # the partitioned merge shuffle holds its scaling) — this fallback IS
-    # the beyond-broadcast-budget scale path, so it must scale
-    joined = cogroup_join(
-        pairs, packed, on="src", right_on="doc_id", num_parts=np_parts
-    ).materialize()
-    joined = with_schema(
-        joined,
-        {"src": pa.int64(), "dst": pa.int64(), "sh_bin": pa.binary()},
-    ).materialize()
-    joined = cogroup_join(
-        joined, packed.rename_columns({"sh_bin": "sh_bin_r"}),
-        on="dst", right_on="doc_id", num_parts=np_parts,
-    )
-    return joined.map_batches(_exact_jaccard_batch(), batch_format="pyarrow")
+    # the refs travel inside the partial, not as task arguments: Ray
+    # resolves top-level ref arguments before a task starts, which would
+    # fetch every shard into every scoring task
+    score = functools.partial(_score_batch, shard_refs=_build_index(packed))
+    # 65,536-row batches coalesce the many small pair blocks of an
+    # increment into few scoring calls
+    return pairs.map_batches(score, batch_format="pyarrow", batch_size=65536)
 
 
 def _binary_bytes(t: pa.Table, col: str) -> int:

@@ -184,7 +184,8 @@ def test_load_result_ignores_config_keys_of_deleted_fields(ray_session, tmp_path
         path = os.path.join(wd, stage, "manifest.json")
         with open(path) as fh:
             man = json.load(fh)
-        man["config"].update(fused_extract_sign=True, cc_algorithm="label")
+        man["config"].update(fused_extract_sign=True, cc_algorithm="label",
+                             verify_index_shards=16, verify_broadcast_max_bytes=0)
         with open(path, "w") as fh:
             json.dump(man, fh)
 

@@ -184,24 +184,42 @@ def test_oph_signer_recall(ray_session, oracle, tmp_path_factory):
     assert all(r["distance"] >= cfg.threshold for r in sim)
 
 
-def test_join_verify_path_matches_broadcast(ray_session, oracle, tmp_path_factory):
-    """verify_broadcast_max_bytes=0 forces the hash-join verify fallback
-    (the multi-node scale path); its scored edges must match the
-    broadcast-index path exactly."""
-    import dataclasses
+def test_sharded_verify_matches_single_shard(ray_session, oracle, tmp_path_factory,
+                                             monkeypatch):
+    """The oracle fixture's endpoint sets fit one index shard; with
+    `_SHARD_BYTES` patched to a third of their bytes (S >= 3 shards, rows
+    routed by the exchange's split tasks) the scored edges are exactly
+    the single-shard ones."""
+    from fastdup_ray.stages import verify
 
-    def edges(cfg, wd, token):
-        res = NearDupPipeline(cfg, work_dir=wd).run(
+    payloads, built = [], []
+    payload_bytes, build_index = verify._payload_bytes, verify._build_index
+
+    def recording_payload_bytes(packed, col):
+        payloads.append(payload_bytes(packed, col))
+        return payloads[-1]
+
+    def recording_build_index(packed):
+        refs = build_index(packed)
+        built.append(len(refs))
+        return refs
+
+    monkeypatch.setattr(verify, "_payload_bytes", recording_payload_bytes)
+    monkeypatch.setattr(verify, "_build_index", recording_build_index)
+
+    def edges(wd, token):
+        res = NearDupPipeline(oracle["cfg"], work_dir=wd).run(
             rd.from_arrow(oracle["pages"]).repartition(8), input_token=token
         )
         return sorted(
-            (r["src"], r["dst"], round(r["distance"], 9))
+            (r["src"], r["dst"], r["distance"])
             for r in res.similarity().take_all()
         )
 
-    base = oracle["cfg"]
-    e_bcast = edges(base, str(tmp_path_factory.mktemp("wd_b")), "vp-b")
-    cfg_join = dataclasses.replace(base, verify_broadcast_max_bytes=0)
-    e_join = edges(cfg_join, str(tmp_path_factory.mktemp("wd_j")), "vp-j")
-    assert e_bcast == e_join
-    assert len(e_bcast) > 0
+    e_one = edges(str(tmp_path_factory.mktemp("wd_s1")), "vp-s1")
+    assert built == [1]
+    monkeypatch.setattr(verify, "_SHARD_BYTES", payloads[0] // 3)
+    e_many = edges(str(tmp_path_factory.mktemp("wd_s3")), "vp-s3")
+    assert built[1] >= 3
+    assert e_one == e_many
+    assert len(e_one) > 0

@@ -54,69 +54,6 @@ def test_oph_num_perms_guard():
             OnePermMinHasher(5, bad, 42)
 
 
-def test_confirm_equal_ranges_rejects_hash_collisions():
-    """The equal-hash verify short-circuit must confirm with real bytes:
-    distinct sets that (hypothetically) collide on the 64-bit set hash
-    may not be scored 1.0."""
-    from fastdup_ray.stages.verify import _confirm_equal_ranges
-
-    vals_a = np.array([1, 2, 3, 7, 8, 9], np.uint32)
-    vals_b = np.array([1, 2, 3, 7, 8, 10], np.uint32)
-    sa = np.array([0, 3], np.int64)
-    sb = np.array([0, 3], np.int64)
-    lens = np.array([3, 3], np.int64)
-    conf = _confirm_equal_ranges(vals_a, sa, vals_b, sb, lens)
-    assert conf.tolist() == [True, False]
-    # chunk boundary: many segments forcing multiple chunks
-    n = 5000
-    va = np.arange(n * 4, dtype=np.uint32)
-    vb = va.copy()
-    vb[7] += 1  # corrupt one element of segment 1
-    s = np.arange(n, dtype=np.int64) * 4
-    ln = np.full(n, 4, np.int64)
-    conf = _confirm_equal_ranges(va, s, vb, s, ln)
-    assert not conf[1] and conf.sum() == n - 1
-
-
-def test_verify_endpoints_never_materialize_on_driver(ray_session):
-    """verify_pairs must compute the endpoint set via task-side tree
-    reduce; equal-set pairs still score exactly 1.0 (byte-confirmed) and
-    near-dup pairs keep their exact Jaccard."""
-    from fastdup_ray.stages.signatures import SignStage
-    from fastdup_ray.stages.verify import verify_pairs
-
-    cfg = DedupConfig()
-    base = "word%d " * 60
-    texts = [base % tuple(range(i, i + 60)) for i in range(0, 40, 2)]
-    docs = pa.table(
-        {
-            "doc_id": pa.array(np.arange(len(texts) * 2) // 2, pa.int64()),
-            "text": pa.array([t for t in texts for _ in (0, 1)]),
-        }
-    )
-    # duplicate doc ids collapse: make ids unique, every even id's text
-    # equals the next odd id's text -> (2i, 2i+1) are exact dups
-    docs = pa.table(
-        {
-            "doc_id": pa.array(np.arange(len(texts) * 2), pa.int64()),
-            "text": docs["text"],
-        }
-    )
-    ds = rd.from_arrow(docs).repartition(4)
-    sigs = ds.map_batches(SignStage(cfg), batch_format="pyarrow").materialize()
-    pairs = rd.from_arrow(
-        pa.table(
-            {
-                "src": pa.array(np.arange(0, len(texts) * 2, 2), pa.int64()),
-                "dst": pa.array(np.arange(1, len(texts) * 2, 2), pa.int64()),
-            }
-        )
-    ).repartition(3)
-    scores = verify_pairs(pairs, sigs, ds, cfg).take_all()
-    assert len(scores) == len(texts)
-    assert all(abs(r["distance"] - 1.0) < 1e-12 for r in scores)
-
-
 # ------------------------------------------------ search index persistence
 def test_search_index_persist_and_reload(ray_session, tmp_path):
     """VERDICT r2 #3: save the CSR arrays, kill the actors, reload —

@@ -101,10 +101,9 @@ def main() -> None:
     def mk_pipe(tag: str) -> NearDupPipeline:
         wd = f"/dev/shm/fastdup_ray_incr_{tag}"
         shutil.rmtree(wd, ignore_errors=True)
-        # no-checkpoint config, same shape as bench.py's scaling runs
+        # no-checkpoint config, as bench.py with BENCH_NO_CHECKPOINT=1
         cfg = DedupConfig(num_partitions=min(64, ncpu),
                           extract_concurrency=ncpu, checkpoint_stages=(),
-                          verify_broadcast_max_bytes=16_000_000_000,
                           signer=os.environ.get("BENCH_SIGNER", "oph"))
         return NearDupPipeline(cfg, work_dir=wd)
 
