@@ -410,13 +410,13 @@ def _apply_groups(apply_fn, batch_format: str, t: pa.Table) -> pa.Table:
 
 
 def _reduce_part(apply_fn, batch_format: str, *slices):
-    """Reduce side of the exchange: (rows out, apply_fn over the
+    """Reduce side of the exchange: (block metadata, apply_fn over the
     concatenation of one partition's slices)."""
     t = pa.concat_tables(
         [_as_arrow(s) for s in slices], promote_options="permissive"
     )
     out = _apply_groups(apply_fn, batch_format, t)
-    return out.num_rows, out
+    return block_meta(out), out
 
 
 @functools.cache
@@ -444,7 +444,8 @@ def partitioned_groupby(ds, keys, apply_fn, *, num_parts: int = 64,
     - the driver reads only the counts and starts one reduce task per
       non-empty partition, which concatenates that partition's slices
       and calls `apply_fn` once;
-    - the result is `from_arrow_refs` of the non-empty reduce outputs.
+    - the result is a Dataset of the non-empty reduce outputs, built
+      from the metadata the reduce tasks return (`from_block_refs`).
 
     P = min(num_parts, number of non-empty input blocks), the block
     count Ray's own sort shuffle keeps: every split slice and reduce task
@@ -470,7 +471,7 @@ def partitioned_groupby(ds, keys, apply_fn, *, num_parts: int = 64,
     import ray.data as rd
 
     keys = [keys] if isinstance(keys, str) else list(keys)
-    mat = ds.materialize()
+    mat = materialized(ds)
     refs = nonempty_block_refs(mat)
     if not refs:
         empty = empty_table(mat)
@@ -489,20 +490,82 @@ def partitioned_groupby(ds, keys, apply_fn, *, num_parts: int = 64,
     reduce = remote_fn(_reduce_part).options(num_returns=2)
     res = [reduce.remote(fn_ref, batch_format, *s) for s in parts if s]
     del parts
-    rows = ray.get([r[0] for r in res])
-    kept = [r[1] for r, n in zip(res, rows) if n] or [res[0][1]]
-    return rd.from_arrow_refs(kept)
+    metas = ray.get([r[0] for r in res])
+    blocks = [(r[1], m) for r, m in zip(res, metas) if m.num_rows]
+    return from_block_refs(blocks or [(res[0][1], metas[0])])
+
+
+def materialized(ds):
+    """`ds` with its blocks computed. A MaterializedDataset (the output
+    of `materialize()`, `from_block_refs` or a `ray.data.from_*` call)
+    comes back as is; anything else is `ds.materialize()`d.
+
+    `materialize()` of a Dataset that is already materialized starts no
+    execution, but it still copies the plan: about 8 ms of driver CPU
+    per call (ray 2.49). The glue between the stages calls this
+    instead."""
+    from ray.data.dataset import MaterializedDataset
+
+    if not isinstance(ds, MaterializedDataset):
+        return ds.materialize()
+    # a source's blocks become the plan's snapshot, with no execution,
+    # so that iterating over them starts none either
+    ds._plan.execute()
+    return ds
+
+
+def nonempty_blocks(mat) -> list:
+    """(block ref, metadata with schema) of each block of a materialized
+    Dataset, zero-row blocks dropped by metadata (no data moves)."""
+    from ray.data.block import BlockMetadataWithSchema
+
+    return [
+        (ref, BlockMetadataWithSchema(meta, bundle.schema))
+        for bundle in mat.iter_internal_ref_bundles()
+        for ref, meta in bundle.blocks
+        if meta.num_rows is None or meta.num_rows > 0
+    ]
 
 
 def nonempty_block_refs(mat) -> list:
     """Block refs of a materialized Dataset, zero-row blocks dropped by
     metadata (no data moves)."""
-    return [
-        ref
-        for bundle in mat.iter_internal_ref_bundles()
-        for ref, meta in bundle.blocks
-        if meta.num_rows is None or meta.num_rows > 0
-    ]
+    return [ref for ref, _ in nonempty_blocks(mat)]
+
+
+def block_meta(block):
+    """The Ray Data metadata (rows, bytes, schema) of one block: a task
+    that returns it beside its block lets the driver build a Dataset with
+    `from_block_refs`."""
+    from ray.data.block import BlockMetadataWithSchema
+
+    return BlockMetadataWithSchema.from_block(block)
+
+
+def from_block_refs(blocks: list):
+    """A materialized Dataset over `blocks`, (block ref, metadata with
+    schema) pairs whose metadata is already known: a task's `block_meta`
+    return or a materialized Dataset's own (`nonempty_blocks`).
+
+    This is `ray.data.from_arrow_refs` (ray 2.49) without its step that
+    runs one metadata task per block and waits for all of them, which
+    costs about as much CPU as eight plain tasks per call
+    (`tools/exec_count.py --unit-cost`). Building the Dataset starts no
+    task and no Ray Data execution."""
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.from_operators import FromArrow
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data._internal.stats import DatasetStats
+    from ray.data.context import DataContext
+    from ray.data.dataset import MaterializedDataset
+
+    refs = [ref for ref, _ in blocks]
+    metas = [meta for _, meta in blocks]
+    plan = ExecutionPlan(
+        DatasetStats(metadata={"FromArrow": metas}, parent=None),
+        DataContext.get_current().copy(),
+    )
+    return MaterializedDataset(plan, LogicalPlan(FromArrow(refs, metas), plan._context))
 
 
 def empty_table(ds) -> pa.Table:
@@ -525,15 +588,13 @@ def drop_empty_blocks(ds):
     rounds (pagerank's per-round map outputs). Pruning by block METADATA
     costs one driver pass, moves no data, and bounds every consumer.
     """
-    import ray.data as rd
-
-    mat = ds.materialize()
-    refs = nonempty_block_refs(mat)
-    if not refs:
+    mat = materialized(ds)
+    blocks = nonempty_blocks(mat)
+    if not blocks:
         # all-empty: keep the materialized dataset (callers already
         # handle schema-less empties via with_schema / empty_typed)
         return mat
-    return rd.from_arrow_refs(refs)
+    return from_block_refs(blocks)
 
 
 def distinct(ds, keys, *, num_parts: int = 64):
@@ -565,27 +626,38 @@ def broadcast_semi_join(ds, key: str, key_set, *, keep: bool = True):
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
+def _block_unique(block, cols: list):
+    """Sorted-unique int64 values of `cols` over one block."""
+    import numpy as np
+
+    t = _as_arrow(block)
+    return np.unique(np.concatenate([
+        t[c].to_numpy(zero_copy_only=False).astype(np.int64) for c in cols
+    ]))
+
+
+def _merge_unique(*arrs):
+    import numpy as np
+
+    return np.unique(np.concatenate(arrs))
+
+
 def sorted_unique_ref(ds, cols):
     """ObjectRef of the sorted-unique int64 values of `cols` over `ds`.
 
     Distinct-per-block in tasks, then a TREE-REDUCE of the sorted-unique
     arrays entirely in tasks — the set never lands on the driver, which
     holds O(1) regardless of its size. The ref is the broadcast handle
-    every filter task reads zero-copy (see `in_sorted`)."""
+    every filter task reads zero-copy (see `in_sorted`). The tasks read
+    the blocks of `materialized(ds)`, so a materialized `ds` starts no
+    Ray Data execution."""
     import numpy as np
     import ray
 
-    @ray.remote
-    def block_unique(t: pa.Table):
-        return np.unique(np.concatenate([
-            t[c].to_numpy(zero_copy_only=False).astype(np.int64) for c in cols
-        ]))
-
-    @ray.remote
-    def merge_unique(*arrs):
-        return np.unique(np.concatenate(arrs))
-
-    refs = [block_unique.remote(ref) for ref in ds.to_arrow_refs()]
+    block_unique = remote_fn(_block_unique)
+    merge_unique = remote_fn(_merge_unique)
+    refs = [block_unique.remote(ref, list(cols))
+            for ref in nonempty_block_refs(materialized(ds))]
     if not refs:
         return ray.put(np.empty(0, np.int64))
     while len(refs) > 1:  # fan-in 8 per merge task
@@ -628,32 +700,33 @@ def with_schema(ds, cols: dict, *, rename: dict | None = None):
     blocks and `.schema()` keeps the old name (mixed-schema RefBundle
     warning), which poisons downstream joins.
     """
-    import ray
     import ray.data as rd
-
-    rename = rename or {}
-    empty = pa.table({k: pa.array([], t) for k, t in cols.items()})
-
-    @ray.remote
-    def canon(t) -> pa.Table:
-        if not isinstance(t, pa.Table):  # pandas-format block
-            t = pa.Table.from_pandas(t, preserve_index=False)
-        if t.num_columns == 0:
-            return empty
-        src = {new: old for old, new in rename.items()}
-        return pa.table(
-            {k: t[src.get(k, k)].cast(v) for k, v in cols.items()}
-        )
 
     # prune zero-row blocks by metadata first: they are what makes
     # Dataset.rename_columns / joins downstream unreliable (a zero-row
     # block passes through a Project un-renamed), and they compound in
     # iterative pipelines — see drop_empty_blocks.
-    mat = ds.materialize()
-    refs = nonempty_block_refs(mat)
+    import ray
+
+    refs = nonempty_block_refs(materialized(ds))
     if not refs:
-        return rd.from_arrow(empty)
-    return rd.from_arrow_refs([canon.remote(r) for r in refs])
+        return rd.from_arrow(pa.schema(cols).empty_table())
+    canon = remote_fn(_canon_block).options(num_returns=2)
+    outs = [canon.remote(r, cols, rename or {}) for r in refs]
+    metas = ray.get([o[0] for o in outs])
+    return from_block_refs([(o[1], m) for o, m in zip(outs, metas)])
+
+
+def _canon_block(block, cols: dict, rename: dict):
+    """(metadata, block) of one block with exactly the columns `cols`
+    (name -> Arrow type), each read from its `rename`d input column."""
+    t = _as_arrow(block)
+    if t.num_columns == 0:
+        t = pa.schema(cols).empty_table()
+    else:
+        src = {new: old for old, new in rename.items()}
+        t = pa.table({k: t[src.get(k, k)].cast(v) for k, v in cols.items()})
+    return block_meta(t), t
 
 
 def cogroup_anti_join(left, right, *, on: str, right_on: str | None = None,

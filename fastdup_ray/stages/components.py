@@ -26,7 +26,12 @@ import pandas as pd
 import pyarrow as pa
 
 from fastdup_ray.config import DedupConfig
-from fastdup_ray.relational.ops import partitioned_groupby
+from fastdup_ray.relational.ops import (
+    block_meta,
+    from_block_refs,
+    materialized,
+    partitioned_groupby,
+)
 
 
 def connected_components(edges, config: DedupConfig | None = None):
@@ -37,14 +42,14 @@ def connected_components(edges, config: DedupConfig | None = None):
     reference where singleton components are dropped downstream via the
     count filter (fastdup_controller.py:440).
     """
-    import ray.data as rd
+    import ray
 
     cfg = config or DedupConfig()
 
     # hybrid finalize: below cc_driver_max_edges the whole edge list fits
     # on the driver (16 B/edge) and a numpy min-label pass beats shuffle
     # rounds; above it, star contraction runs
-    edges = edges.materialize()
+    edges = materialized(edges)
     if edges.count() > cfg.cc_driver_max_edges:
         return connected_components_star(edges, cfg)
     src_parts, dst_parts = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
@@ -58,10 +63,9 @@ def connected_components(edges, config: DedupConfig | None = None):
     n = src.shape[0]
     nodes, idx = np.unique(np.concatenate([src, dst]), return_inverse=True)
     labels = nodes[min_label_components(nodes.shape[0], idx[:n], idx[n:])]
-    return rd.from_arrow(
-        pa.table({"node": pa.array(nodes, pa.int64()),
-                  "label": pa.array(labels, pa.int64())})
-    ).materialize()
+    out = pa.table({"node": pa.array(nodes, pa.int64()),
+                    "label": pa.array(labels, pa.int64())})
+    return from_block_refs([(ray.put(out), block_meta(out))])
 
 
 def min_label_components(n: int, ei: np.ndarray, ej: np.ndarray) -> np.ndarray:

@@ -25,18 +25,22 @@ import functools
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from fastdup_ray.config import DedupConfig
 from fastdup_ray.functions.hashing import mix64
 from fastdup_ray.relational.ops import (
+    _as_arrow,
     _part_ids,
     _split_blocks,
     empty_typed,
+    from_block_refs,
     in_sorted,
+    materialized,
     nonempty_block_refs,
+    nonempty_blocks,
     remote_fn,
     sorted_unique_ref,
-    with_schema,
 )
 from fastdup_ray.stages.shingles import list_column_arrays
 
@@ -135,16 +139,17 @@ def _build_shard(*tables: pa.Table) -> _SetIndex:
                      np.concatenate(fps))
 
 
-def _build_index(packed) -> list:
-    """Refs of the S doc_id-sharded index shards of the materialized
-    packed table, S = ceil(exact payload bytes / _SHARD_BYTES) >= 1.
+def _build_index(packed: list, payload_bytes: int) -> list:
+    """Refs of the S doc_id-sharded index shards over the packed
+    (doc_id, sh_bin) block refs `packed`, S = ceil(payload_bytes /
+    _SHARD_BYTES) >= 1, where payload_bytes is their exact `sh_bin` byte
+    sum.
 
     Every shard is built by its own task and nothing touches the driver.
     At S = 1 one task reads every block; above, the exchange's split
     tasks route each row to its shard first."""
-    refs = nonempty_block_refs(packed)
-    num_shards = max(1, -(-_payload_bytes(packed, "sh_bin") // _SHARD_BYTES))
-    parts = [refs] if num_shards == 1 else _split_blocks(refs, ["doc_id"], num_shards)
+    num_shards = max(1, -(-payload_bytes // _SHARD_BYTES))
+    parts = [packed] if num_shards == 1 else _split_blocks(packed, ["doc_id"], num_shards)
     build = remote_fn(_build_shard)
     return [build.remote(*p) for p in parts]
 
@@ -313,8 +318,8 @@ def _score_batch(batch: pa.Table, shard_refs: list) -> pa.Table:
                 held[s] = _fetch(shard_refs[s])
         _score_cell(held[a], held[b], src, dst, order[lo:hi], dist)
     return pa.table({
-        "src": batch["src"],
-        "dst": batch["dst"],
+        "src": batch["src"].cast(pa.int64()),
+        "dst": batch["dst"].cast(pa.int64()),
         "distance": pa.array(dist, pa.float64()),
     })
 
@@ -327,58 +332,54 @@ def verify_pairs(pairs, signatures, docs, config: DedupConfig | None = None,
     (doc_id, shingles) columns are the sets scored unless `shingle_sets`
     (doc_id, shingles) is supplied. `docs` and `config` are not read;
     they stay in the signature for existing callers.
+
+    Every step before the scoring map runs as plain tasks on the block
+    refs, so materialized inputs start one Ray Data execution: the
+    returned lazy scoring map.
     """
     import ray
 
-    pairs = pairs.materialize()
-    if pairs.count() == 0:
+    pairs = materialized(pairs)
+    blocks = nonempty_blocks(pairs)
+    if not blocks:
         return empty_typed(
             {"src": pa.int64(), "dst": pa.int64(), "distance": pa.float64()}
         )
-    pairs = with_schema(pairs, {"src": pa.int64(), "dst": pa.int64()})
+    # without its zero-row blocks, which may carry no columns: the
+    # scoring map would pass them through unscored
+    pairs = from_block_refs(blocks)
 
     # Only pair ENDPOINTS are ever looked up, and endpoints scale with the
     # candidate budget, not the corpus (~15% of docs here; a tiny fraction
     # at 10^12 docs). Their sorted-unique set is reduced entirely in tasks
     # and never reaches the driver.
     ends_ref = sorted_unique_ref(pairs, ["src", "dst"])
-
-    def _endpoint_filter(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return batch.filter(pa.array(in_sorted(ray.get(ends_ref), ids)))
-
-    if shingle_sets is None:
-        shingle_sets = signatures.select_columns(["doc_id", "shingles"])
-    # ONE fused pass: endpoint-filter + pack, materialized once; the
-    # payload sizing and the shard builds both read it
-    packed = shingle_sets.map_batches(
-        _endpoint_filter, batch_format="pyarrow"
-    ).map_batches(_pack_shingles, batch_format="pyarrow").materialize()
+    sets = signatures if shingle_sets is None else shingle_sets
+    # one endpoint-filter + pack task per set block; the driver reads
+    # only each block's (rows, payload bytes), which size the index
+    pack = remote_fn(_pack_endpoint_sets).options(num_returns=2)
+    outs = [pack.remote(r, ends_ref) for r in nonempty_block_refs(materialized(sets))]
+    sizes = ray.get([o[0] for o in outs])
+    packed = [o[1] for o, (rows, _) in zip(outs, sizes) if rows]
+    shard_refs = _build_index(packed, sum(nbytes for _, nbytes in sizes))
     # the refs travel inside the partial, not as task arguments: Ray
     # resolves top-level ref arguments before a task starts, which would
     # fetch every shard into every scoring task
-    score = functools.partial(_score_batch, shard_refs=_build_index(packed))
+    score = functools.partial(_score_batch, shard_refs=shard_refs)
     # 65,536-row batches coalesce the many small pair blocks of an
     # increment into few scoring calls
     return pairs.map_batches(score, batch_format="pyarrow", batch_size=65536)
 
 
-def _binary_bytes(t: pa.Table, col: str) -> int:
-    import pyarrow.compute as pc
-
-    return int(pc.sum(pc.binary_length(t[col])).as_py() or 0)
-
-
-def _payload_bytes(packed, bin_col: str) -> int:
-    """Exact byte sum of the binary column `bin_col` over a materialized
-    Dataset: one tiny task per block sums its value lengths (no Ray Data
-    execution, no sample)."""
-    import ray
-
-    block_bytes = remote_fn(_binary_bytes)
-    return sum(ray.get([
-        block_bytes.remote(ref, bin_col) for ref in nonempty_block_refs(packed)
-    ]))
+def _pack_endpoint_sets(block, ends: np.ndarray):
+    """((rows, sh_bin bytes), packed (doc_id, sh_bin) table) of the rows of
+    one set block whose doc_id is in the sorted-unique `ends`."""
+    t = _as_arrow(block)
+    ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+    t = t.select(["doc_id", "shingles"]).filter(pa.array(in_sorted(ends, ids)))
+    packed = _pack_shingles(t)
+    nbytes = pc.sum(pc.binary_length(packed["sh_bin"])).as_py()
+    return (packed.num_rows, nbytes or 0), packed
 
 
 def _pack_shingles(batch: pa.Table) -> pa.Table:

@@ -1,6 +1,8 @@
 """A worker killed mid-task is retried by Ray and the pipeline's output
 is unchanged: the first attempt of one verify index build task and of
-one exchange reduce task dies with `os._exit`."""
+one exchange reduce task dies with `os._exit`, and in an increment, the
+first attempt of one score-split reduce task and of one verify pack
+task."""
 
 import os
 
@@ -57,5 +59,33 @@ def test_killed_build_and_reduce_tasks_are_retried(ray_session, tmp_path, monkey
                         _die_on_first_attempt(ops._reduce_part, reduce_marker))
     faulted = run("faulted")
     assert os.path.exists(build_marker) and os.path.exists(reduce_marker)
+    assert faulted == clean
+    assert clean["pair_scores"] and clean["components"]
+
+
+def test_killed_split_and_pack_tasks_are_retried(ray_session, tmp_path, monkeypatch):
+    from fastdup_ray.pipelines import neardup
+    from fastdup_ray.sources.pages import synthesize_pages
+    from fastdup_ray.stages import verify
+
+    pages, _ = synthesize_pages(300, seed=11)
+    base = neardup.NearDupPipeline(DedupConfig(), work_dir=str(tmp_path / "base")).run(
+        rd.from_arrow(pages.slice(0, 200)).repartition(4), input_token="base")
+
+    def run(tag):
+        pipe = neardup.NearDupPipeline(DedupConfig(), work_dir=str(tmp_path / tag))
+        return _outputs(pipe.run_incremental(
+            rd.from_arrow(pages.slice(200)).repartition(4), base=base,
+            input_token=tag))
+
+    clean = run("clean")
+    split_marker = str(tmp_path / "split.died")
+    pack_marker = str(tmp_path / "pack.died")
+    monkeypatch.setattr(neardup, "_split_part",
+                        _die_on_first_attempt(neardup._split_part, split_marker))
+    monkeypatch.setattr(verify, "_pack_endpoint_sets",
+                        _die_on_first_attempt(verify._pack_endpoint_sets, pack_marker))
+    faulted = run("faulted")
+    assert os.path.exists(split_marker) and os.path.exists(pack_marker)
     assert faulted == clean
     assert clean["pair_scores"] and clean["components"]

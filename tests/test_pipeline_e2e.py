@@ -193,18 +193,14 @@ def test_sharded_verify_matches_single_shard(ray_session, oracle, tmp_path_facto
     from fastdup_ray.stages import verify
 
     payloads, built = [], []
-    payload_bytes, build_index = verify._payload_bytes, verify._build_index
+    build_index = verify._build_index
 
-    def recording_payload_bytes(packed, col):
-        payloads.append(payload_bytes(packed, col))
-        return payloads[-1]
-
-    def recording_build_index(packed):
-        refs = build_index(packed)
+    def recording_build_index(packed, payload_bytes):
+        payloads.append(payload_bytes)
+        refs = build_index(packed, payload_bytes)
         built.append(len(refs))
         return refs
 
-    monkeypatch.setattr(verify, "_payload_bytes", recording_payload_bytes)
     monkeypatch.setattr(verify, "_build_index", recording_build_index)
 
     def edges(wd, token):

@@ -29,14 +29,17 @@ def _jaccard(a: set, b: set) -> float:
     return len(a & b) / union if union else 0.0
 
 
-def _count_shards(monkeypatch, verify) -> list:
-    """Record the shard count of every index verify builds."""
+def _count_shards(monkeypatch, verify, payloads=None) -> list:
+    """Record the shard count of every index verify builds (and, into
+    `payloads`, the payload bytes summed from the pack tasks)."""
     built = []
     build = verify._build_index
 
-    def counting_build(packed):
-        refs = build(packed)
+    def counting_build(packed, payload_bytes):
+        refs = build(packed, payload_bytes)
         built.append(len(refs))
+        if payloads is not None:
+            payloads.append(payload_bytes)
         return refs
 
     monkeypatch.setattr(verify, "_build_index", counting_build)
@@ -67,7 +70,8 @@ def test_payload_sizing_is_exact_under_skewed_block_order(ray_session, monkeypat
     assert math.ceil(sampled / shard_bytes) == 1  # the premise: a sample would fool it
 
     monkeypatch.setattr(verify, "_SHARD_BYTES", shard_bytes)
-    built = _count_shards(monkeypatch, verify)
+    payloads = []
+    built = _count_shards(monkeypatch, verify, payloads)
     got = {(r["src"], r["dst"]): r["distance"]
            for r in verify.verify_pairs(pairs, sigs, None, DedupConfig()).take_all()}
     assert built == [math.ceil(true_bytes / shard_bytes)] and built[0] >= 2
@@ -77,8 +81,8 @@ def test_payload_sizing_is_exact_under_skewed_block_order(ray_session, monkeypat
     for (a, b), d in got.items():
         assert d == _jaccard(sets[a], sets[b])
 
-    packed = sigs.map_batches(verify._pack_shingles, batch_format="pyarrow").materialize()
-    assert verify._payload_bytes(packed, "sh_bin") == true_bytes
+    # the pack tasks' byte sum is the exact payload
+    assert payloads == [true_bytes]
 
 
 @st.composite
@@ -161,8 +165,8 @@ def test_scoring_holds_at_most_two_shards(ray_session, monkeypatch):
     packed = verify._pack_shingles(_sets_table(ids, sets))
     payload = 4 * sum(len(s) for s in sets)
     monkeypatch.setattr(verify, "_SHARD_BYTES", -(-payload // 6))
-    refs = verify._build_index(rd.from_arrow([packed.slice(0, 150),
-                                              packed.slice(150)]).materialize())
+    refs = verify._build_index([ray.put(packed.slice(0, 150)),
+                                ray.put(packed.slice(150))], payload)
     assert len(refs) == 6
 
     live, peak, fetched = [0], [0], set()
