@@ -113,7 +113,7 @@ def run_bench() -> dict:
     # docs vs classic minhash's 230,037 (99.2%) — precision is 1.0 either
     # way because the verify stage rescores candidates exactly.
     # BENCH_SIGNER=minhash restores the classic 128-permutation kernel.
-    cfg = DedupConfig(num_partitions=min(64, ncpu), extract_concurrency=ncpu,
+    cfg = DedupConfig(num_partitions=min(64, ncpu),
                       checkpoint_stages=ckpt,
                       signer=os.environ.get("BENCH_SIGNER", "oph"))
     pipe = NearDupPipeline(cfg, work_dir=work_dir)

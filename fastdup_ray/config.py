@@ -82,7 +82,6 @@ class DedupConfig:
 
     # --- execution knobs ---
     batch_size: int = 1024         # rows per batch for signature/extract stages
-    extract_concurrency: int = 4   # actor-pool size for the HTML extractor stage
     num_partitions: int = 32       # hash-join / shuffle partition count
     cc_max_rounds: int = 50        # safety bound on star-contraction rounds
     # below this many edges, connected components finishes with a

@@ -44,12 +44,12 @@ import ray.data as rd
 from fastdup_ray.config import DedupConfig
 from fastdup_ray.relational.ops import (
     _as_arrow,
-    _split_blocks,
     block_meta,
+    cogroup,
     empty_table,
-    empty_typed,
     from_block_refs,
     hash_join,
+    join_tables,
     materialized,
     nonempty_block_refs,
     nonempty_blocks,
@@ -106,38 +106,20 @@ _PAIR_COLS = {"src": pa.int64(), "dst": pa.int64()}
 _SCORE_COLS = {**_PAIR_COLS, "distance": pa.float64()}
 
 
-def _typed_concat(slices, cols: dict) -> pa.Table:
-    """The concatenation of `slices` projected and cast to `cols`."""
-    schema = pa.schema(cols)
-    return pa.concat_tables(
-        [schema.empty_table()]
-        + [_as_arrow(s).select(list(cols)).cast(schema) for s in slices]
-    )
-
-
-def _split_part(n_pairs: int, *slices):
-    """Reduce side of the score split over one (src, dst) partition: the
-    first `n_pairs` slices are pairs, the rest scores. Returns ((metadata
-    of each output), reused scores, pairs with no score)."""
+def _reuse_or_verify(scores: pa.Table, pairs: pa.Table):
+    """One partition of the score split: (the scores whose pair is in
+    `pairs`, the pairs with no score)."""
     keys = ["src", "dst"]
-    pairs = _typed_concat(slices[:n_pairs], _PAIR_COLS)
-    scores = _typed_concat(slices[n_pairs:], _SCORE_COLS)
-    reused = scores.join(pairs, keys, join_type="left semi", use_threads=False)
-    to_verify = pairs.join(scores.select(keys), keys, join_type="left anti",
-                           use_threads=False)
-    return (block_meta(reused), block_meta(to_verify)), reused, to_verify
-
-
-def _block_dataset(blocks: list, cols: dict):
-    """A materialized Dataset of the non-empty (ref, metadata) `blocks`,
-    or a typed empty one."""
-    blocks = [(ref, meta) for ref, meta in blocks if meta.num_rows]
-    return from_block_refs(blocks) if blocks else empty_typed(cols)
+    scores = scores.select(list(_SCORE_COLS)).cast(pa.schema(_SCORE_COLS))
+    pairs = pairs.select(keys).cast(pa.schema(_PAIR_COLS))
+    return (join_tables(scores, pairs, lks=keys, rks=keys, join_type="semi"),
+            join_tables(pairs, scores, lks=keys, rks=keys, join_type="anti"))
 
 
 def _split_scored_pairs(pairs, scores, *, num_parts: int = 32):
-    """(reused, to_verify): one (src,dst)-keyed hash exchange on plain
-    tasks splitting candidate `pairs` against already-scored `scores`.
+    """(reused, to_verify): one (src,dst)-keyed hash exchange
+    (`ops.cogroup`) splitting candidate `pairs` against already-scored
+    `scores`.
 
     reused    — scores rows whose pair IS in `pairs` (distance kept);
     to_verify — pairs with no score yet (src, dst only).
@@ -148,21 +130,9 @@ def _split_scored_pairs(pairs, scores, *, num_parts: int = 32):
     endpoint payloads, which an append never mutates, so a reused
     distance equals what re-verifying would compute."""
     keys = ["src", "dst"]
-    pair_refs = nonempty_block_refs(materialized(pairs))
-    score_refs = nonempty_block_refs(materialized(scores))
-    nparts = max(1, min(int(num_parts), len(pair_refs) + len(score_refs)))
-    if nparts == 1:
-        parts = [(pair_refs, score_refs)]
-    else:
-        parts = zip(_split_blocks(pair_refs, keys, nparts),
-                    _split_blocks(score_refs, keys, nparts))
     # a partition without pairs has nothing to reuse or verify
-    split = remote_fn(_split_part).options(num_returns=3)
-    outs = [split.remote(len(p), *p, *s) for p, s in parts if p]
-    del parts
-    metas = ray.get([o[0] for o in outs])
-    reused = _block_dataset([(o[1], m) for o, (m, _) in zip(outs, metas)], _SCORE_COLS)
-    to_verify = _block_dataset([(o[2], m) for o, (_, m) in zip(outs, metas)], _PAIR_COLS)
+    reused, to_verify = cogroup([scores, pairs], [keys, keys], _reuse_or_verify,
+                                num_parts=num_parts, required=(1,), num_outputs=2)
     return reused, to_verify
 
 

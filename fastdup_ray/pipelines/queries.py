@@ -3378,7 +3378,9 @@ def queries():
     # whose code or input changed since is also in the window: knn_lists
     # and simhash_near_dup_pairs (both changed in r5) and
     # minhash_components (its verify stage now scores the signature
-    # table's shingle sets).  The rest of the window is padded with the
+    # table's shingle sets), and the five join-backed queries that sat
+    # beyond it when every two-input op moved onto the one hash exchange
+    # and join kernel.  The rest of the window is padded with the
     # cheapest queries that already hold two rounds of driver evidence.
     # Rotate again next round so every query gets a driver row within two
     # rounds.  Local full-catalog sweep: tools/correctness_dryrun.py.
@@ -3410,16 +3412,18 @@ def queries():
         "knn_lists": q_knn_lists,
         "simhash_near_dup_pairs": q_simhash_near_dup_pairs,
         "minhash_components": q_minhash_components,
-        # --- 25 cheapest already-driver-green queries (window padding) ---
-        "doc_stats": q_doc_stats,
-        "text_quality": q_text_quality,
+        # --- 5 join-backed queries whose join path changed (one hash
+        # exchange and one join kernel for every two-input op) ---
+        "customers_without_orders": q_customers_without_orders,
+        "last_order_before_event": q_last_order_before_event,
+        "customers_without_events": q_customers_without_events,
+        "outliers": q_outliers,
+        "hierarchical_components": q_hierarchical_components,
+        # --- 20 cheapest already-driver-green queries (window padding) ---
         "word_repetition_stats": q_word_repetition_stats,
         "contamination_ngrams": q_contamination_ngrams,
-        "simhash_fingerprints": q_simhash_fingerprints,
         "source_topk": q_source_topk,
         "lang_summary": q_lang_summary,
-        "bpe_token_counts": q_bpe_token_counts,
-        "token_totals": q_token_totals,
         "exact_dup_components": q_exact_dup_components,
         "prefix_dup_pairs": q_prefix_dup_pairs,
         "kmeans_assign": q_kmeans_assign,
@@ -3437,6 +3441,11 @@ def queries():
         "hll_distinct_grams": q_hll_distinct_grams,
         "ivf_probe_topk": q_ivf_probe_topk,
         # --- beyond the driver window (driver rows banked r1-r4) ---
+        "doc_stats": q_doc_stats,
+        "text_quality": q_text_quality,
+        "bpe_token_counts": q_bpe_token_counts,
+        "token_totals": q_token_totals,
+        "simhash_fingerprints": q_simhash_fingerprints,
         "windowed_events": q_windowed_events,
         "pricing_summary": q_pricing_summary,
         "customer_revenue_topk": q_customer_revenue_topk,
@@ -3449,14 +3458,9 @@ def queries():
         "doc_embeddings": q_doc_embeddings,
         "stats_filtered_dups": q_stats_filtered_dups,
         "label_score": q_label_score,
-        "customers_without_orders": q_customers_without_orders,
         "domain_pair_summary": q_domain_pair_summary,
-        "last_order_before_event": q_last_order_before_event,
         "embedding_lsh_pairs": q_embedding_lsh_pairs,
-        "customers_without_events": q_customers_without_events,
-        "outliers": q_outliers,
         "substring_dup_pairs": q_substring_dup_pairs,
-        "hierarchical_components": q_hierarchical_components,
         "ngram_jaccard_pairs": q_ngram_jaccard_pairs,
         "embedding_dup_pairs": q_embedding_dup_pairs,
     }

@@ -2,8 +2,9 @@
 
 These wrap the operator inventory the reference performs with pandas
 merges (SURVEY.md §2.5 J1-J9): id->name joins, annotation left-joins,
-anti-joins for outliers, semi-join filters — expressed as Ray hash joins
-or broadcast lookups.
+anti-joins for outliers, semi-join filters — expressed as one hash
+exchange on plain Ray tasks (`cogroup`) or broadcast lookups, with one
+join kernel (`join_tables`).
 """
 
 from __future__ import annotations
@@ -14,165 +15,107 @@ import pandas as pd
 import pyarrow as pa
 
 
-def num_join_partitions(requested: int) -> int:
-    """Cap hash-shuffle partition count at the cluster's CPU count.
-
-    Ray 2.49's `Dataset.join`/hash-shuffle spins up one aggregator actor
-    per partition, each reserving a CPU slot; asking for more partitions
-    than the cluster has CPUs deadlocks the streaming executor (observed
-    on a 4-CPU local cluster with num_partitions=32). At real cluster
-    scale the requested value wins.
-    """
-    import ray
-
-    cpus = 8.0
-    if ray.is_initialized():
-        cpus = ray.cluster_resources().get("CPU", 8.0)
-    return max(2, min(int(requested), int(cpus)))
-
-
-def actor_pool_size(requested: int) -> int:
-    """Cap an actor-pool's size so it can't reserve every cluster CPU.
-
-    A pool sized at the full CPU count starves upstream/downstream task
-    operators (observed: 4 extract actors on a 4-CPU cluster deadlock the
-    repartition feeding them). Leaves one CPU headroom.
-    """
-    import ray
-
-    cpus = 8.0
-    if ray.is_initialized():
-        cpus = ray.cluster_resources().get("CPU", 8.0)
-    return max(1, min(int(requested), int(cpus) - 1))
+# hash_join's join types -> the inputs (0 left, 1 right) a partition
+# needs rows of to produce any output
+_JOIN_TYPES = {"inner": (0, 1), "left_outer": (0,), "full_outer": ()}
 
 
 def hash_join(left, right, *, on, right_on=None, join_type: str = "inner",
               num_partitions: int = 32,
               broadcast_bytes: int = 128 << 20, broadcast_rows: int = 4_000_000):
-    """`Dataset.join` with a broadcast small-side path, a deadlock-safe
-    partition count and a sparse-left fallback.
+    """Equi-join of two Datasets: "inner", "left_outer" or "full_outer".
 
-    Broadcast path (inner joins): when the build (right) side fits a
-    per-worker budget, it's concatenated ONCE in a task, `ray.put`-style
-    broadcast via its ObjectRef, and every left block does a zero-copy
-    Arrow (acero) join against it in `map_batches` — no shuffle, no
-    per-partition aggregator actors. This is both the 100-TB-correct
-    plan for small-side joins (ship the lookup once per node, stream
-    the big side) AND the low-latency plan here: ray 2.49's hash-shuffle
-    join spins one aggregator actor per partition with a measured
-    ~3-12 s fixed overhead regardless of data size. Output column
-    semantics match `Dataset.join`: left key kept, right key dropped
-    (verified empirically; pa.Table.join coalesces keys the same way).
+    Output columns follow `Dataset.join`: the left columns (the left key
+    kept; for full_outer it holds the key of either side), then the
+    right columns without the right key. Composite keys are tuples;
+    null keys match nothing. A right column that shares a left column's
+    name is a ValueError.
 
-    NOTES (ray 2.49), for the shuffle path:
-    - chaining a second lazy join on a join output trips acero field
-      resolution; materialize between chained joins;
-    - a shuffle partition that receives ZERO left rows makes the join's
-      aggregator build a schema-less table and acero fails with "No
-      match or multiple matches for key field reference". When the left
-      side is too sparse to cover every partition we instead broadcast
-      the left keys, semi-join the right down to the matching rows, and
-      merge driver-side — identical inner-join semantics, no shuffle.
+    Two plans, one kernel (`join_tables`):
+
+    - broadcast (inner and left_outer): when the right side's observed
+      rows and bytes fit `broadcast_rows` and `broadcast_bytes`, one
+      task per left block joins it against every right block, with no
+      exchange;
+    - otherwise both sides go through the hash exchange (`cogroup`),
+      P = min(num_partitions, non-empty input blocks), one join per
+      partition.
+
+    Both sides are materialized first; the result is materialized, with
+    no zero-row blocks (an empty result is one zero-row block with the
+    joined schema).
     """
-    lks = [on] if isinstance(on, str) else list(on)
-    rks = ([right_on] if isinstance(right_on, str) else list(right_on)) if right_on else lks
-    lk, rk = lks[0], rks[0]
-    nparts = num_join_partitions(num_partitions)
+    if join_type not in _JOIN_TYPES:
+        raise ValueError(f"unknown join_type {join_type!r}")
+    lks = _key_list(on)
+    rks = _key_list(right_on) if right_on is not None else lks
+    left, right = materialized(left), materialized(right)
+    schemas = [_arrow_schema(left), _arrow_schema(right)]
+    overlap = set(schemas[0].names) & (set(schemas[1].names) - set(rks))
+    if overlap:
+        raise ValueError(f"column collision in hash_join: {sorted(overlap)}")
+    kernel = functools.partial(join_tables, lks=lks, rks=rks, join_type=join_type)
+    required = _JOIN_TYPES[join_type]
 
-    if join_type == "inner":
-        right = right.materialize()
-        n_right = right.count()
-        r_bytes = right.size_bytes() or 0
-        if 0 < n_right <= broadcast_rows and r_bytes <= broadcast_bytes:
-            return _broadcast_inner_join(left, right, lks=lks, rks=rks)
+    rblocks = nonempty_blocks(right)
+    r_rows = sum(m.num_rows or 0 for _, m in rblocks)
+    r_bytes = sum(m.size_bytes or 0 for _, m in rblocks)
+    if join_type != "full_outer" and r_rows <= broadcast_rows and r_bytes <= broadcast_bytes:
+        rrefs = [ref for ref, _ in rblocks]
+        parts = [[[ref], rrefs] for ref in nonempty_block_refs(left)]
+        return _reduce_parts(kernel, schemas, parts, required)[0]
+    return cogroup([left, right], [lks, rks], kernel, num_parts=num_partitions,
+                   required=required)[0]
 
-    left = left.materialize()
-    n_left = left.count()
-    # the sparse-left fallback below builds a single-column key set; for
-    # composite keys go straight to the shuffle join
-    if join_type == "inner" and len(lks) == 1 and n_left < nparts * 8:
-        import numpy as np
-        import ray.data as rd
 
-        ldf = left.to_pandas()
-        if n_left == 0:
-            # empty inner join: left columns + right payload columns
-            rcols = [c for c in right.schema().names if c != rk]
-            r_empty = right.limit(0).to_pandas()[rcols]
-            out = ldf.join(r_empty)  # zero rows either way
-            return rd.from_arrow(pa.Table.from_pandas(out, preserve_index=False))
-        keys = set(ldf[lk].tolist())
-        rdf = broadcast_semi_join(right, rk, keys).to_pandas()
-        if rk == lk:
-            out = ldf.merge(rdf, on=lk, how="inner")
-        else:
-            out = ldf.merge(rdf, left_on=lk, right_on=rk, how="inner").drop(columns=[rk])
-        return rd.from_arrow(pa.Table.from_pandas(out, preserve_index=False))
+_ARROW_JOIN_TYPES = {"inner": "inner", "left_outer": "left outer",
+                     "full_outer": "full outer", "semi": "left semi",
+                     "anti": "left anti"}
 
-    return left.join(
-        right,
-        join_type=join_type,
-        num_partitions=nparts,
-        on=on if isinstance(on, tuple) else (on,),
-        right_on=(right_on if isinstance(right_on, tuple) else (right_on,))
-        if right_on is not None
-        else None,
+
+def join_tables(left: pa.Table, right: pa.Table, *, lks: list, rks: list,
+                join_type: str) -> pa.Table:
+    """The join kernel: an Arrow hash join of (key columns, row index)
+    tables, then `take` of each side's columns by row index.
+
+    Arrow's `Table.join` refuses list-typed non-key columns (pyarrow
+    16); joining the indices and taking the payloads afterwards carries
+    columns of any type. Right keys are cast to the left key types; null
+    keys match nothing.
+
+    join_type "inner", "left_outer", "full_outer": the left columns (for
+    full_outer the key columns coalesce both sides' keys), then the
+    right columns except `rks`. "semi" / "anti": the left rows with / with
+    no match, left columns only.
+    """
+    import numpy as np
+
+    names = [f"k{i}" for i in range(len(lks))]
+    lkeys = pa.table(
+        [left[k] for k in lks] + [pa.array(np.arange(left.num_rows))],
+        names=names + ["__l"],
     )
+    rkeys = pa.table(
+        [right[r].cast(left[k].type) for k, r in zip(lks, rks)]
+        + [pa.array(np.arange(right.num_rows))],
+        names=names + ["__r"],
+    )
+    j = lkeys.join(rkeys, keys=names, join_type=_ARROW_JOIN_TYPES[join_type],
+                   use_threads=False)
+    out = left.take(j["__l"])
+    if join_type in ("semi", "anti"):
+        return out
+    if join_type == "full_outer":
+        for k, n in zip(lks, names):
+            out = out.set_column(out.schema.get_field_index(k), k, j[n])
+    payload = right.drop_columns(rks).take(j["__r"])
+    for name, col in zip(payload.column_names, payload.columns):
+        out = out.append_column(name, col)
+    return out
 
 
-def _broadcast_inner_join(left, right, *, lks: list, rks: list):
-    """Inner join with the (small, materialized) right side broadcast.
-
-    The right blocks are concatenated once in a remote task; the
-    resulting ObjectRef is read zero-copy from the local object store
-    by every map task (one plasma get per task, shared-memory on the
-    same node — the `ray.put` once / read-everywhere broadcast pattern).
-    The per-batch join is pyarrow's acero hash join (C++), with the
-    right key(s) coalesced into the left key(s) exactly like
-    `Dataset.join` (composite keys pass through intact).
-
-    The left side is materialized and its zero-row blocks dropped first:
-    map_batches never invokes the UDF on empty blocks, so a shuffle-
-    produced schema-less empty block would otherwise pass through
-    un-joined and poison downstream acero joins with a mixed-schema
-    dataset. The barrier costs streaming overlap, but the alternative
-    (Dataset.join) is an all-to-all barrier anyway.
-    """
-    import ray as _ray
-    import ray.data as rd
-
-    @_ray.remote
-    def _concat(*tables) -> pa.Table:
-        return pa.concat_tables(tables, promote_options="default").combine_chunks()
-
-    rrefs = right.to_arrow_refs()
-    rt_ref = _concat.remote(*rrefs)
-
-    mat = left.materialize()
-    refs = nonempty_block_refs(mat)
-    if not refs:
-        # empty inner join, but with the JOINED schema: left columns +
-        # right payload columns
-        lschema = mat.schema()
-        rschema = right.schema()
-        lnames = lschema.names if lschema is not None else []
-        ltypes = lschema.types if lschema is not None else []
-        # _as_arrow_type: pandas-backed blocks report numpy/python types
-        cols = {
-            c: pa.array([], _as_arrow_type(t)) for c, t in zip(lnames, ltypes)
-        }
-        for c, t in zip(rschema.names, rschema.types):
-            if c not in rks:
-                cols[c] = pa.array([], _as_arrow_type(t))
-        return rd.from_arrow(pa.table(cols))
-
-    def bjoin(batch: pa.Table) -> pa.Table:
-        rt = _ray.get(rt_ref)
-        if rks == lks:
-            return batch.join(rt, keys=lks, join_type="inner")
-        return batch.join(rt, keys=lks, right_keys=rks, join_type="inner")
-
-    return rd.from_arrow_refs(refs).map_batches(bjoin, batch_format="pyarrow")
+def _key_list(keys) -> list:
+    return [keys] if isinstance(keys, str) else list(keys)
 
 
 def combine_aggregate(ds, keys, partial_fn, merge_fn=None, *, fan: int = 8):
@@ -338,14 +281,21 @@ _PART_MULTS = (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F,
 
 def _part_ids(batch: pa.Table, keys: list, num_parts: int):
     """Hash partition (0..num_parts-1, int64) of each row of `batch` by
-    its `keys` columns."""
+    its `keys` columns. Nulls in an integer column hash as 0, so that
+    they do not turn the column into floats and its rows onto the object
+    hash; null keys match nothing in a join, so their partition is
+    arbitrary."""
     import numpy as np
+    import pyarrow.compute as pc
 
     mults = [np.uint64(m) for m in _PART_MULTS]
     h = np.zeros(batch.num_rows, dtype=np.uint64)
     with np.errstate(over="ignore"):
         for i, key in enumerate(keys):
-            arr = batch[key].to_numpy(zero_copy_only=False)
+            col = batch[key]
+            if col.null_count and pa.types.is_integer(col.type):
+                col = pc.fill_null(col, 0)
+            arr = col.to_numpy(zero_copy_only=False)
             if arr.dtype.kind in "iu":
                 ch = arr.astype(np.uint64)
             else:
@@ -381,16 +331,18 @@ def _split_block(block, keys: list, num_parts: int):
     ))
 
 
-def _split_blocks(refs: list, keys: list, num_parts: int) -> list:
-    """One split task per block; per partition, the refs of its
-    non-empty slices (the driver reads only the row counts)."""
+def _split_blocks(inputs: list, num_parts: int) -> list:
+    """One split task per block of each input, a (block refs, keys)
+    pair; per partition, per input, the refs of its non-empty slices
+    (the driver reads only the row counts, in one wait)."""
     import ray
 
     split = remote_fn(_split_block).options(num_returns=num_parts + 1)
-    outs = [split.remote(r, keys, num_parts) for r in refs]
-    counts = ray.get([o[0] for o in outs])
+    outs = [[split.remote(r, keys, num_parts) for r in refs] for refs, keys in inputs]
+    counts = iter(ray.get([o[0] for side in outs for o in side]))
+    sides = [[(o, next(counts)) for o in side] for side in outs]
     return [
-        [o[p + 1] for o, c in zip(outs, counts) if c[p]]
+        [[o[p + 1] for o, c in side if c[p]] for side in sides]
         for p in range(num_parts)
     ]
 
@@ -409,14 +361,89 @@ def _apply_groups(apply_fn, batch_format: str, t: pa.Table) -> pa.Table:
     return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
 
 
-def _reduce_part(apply_fn, batch_format: str, *slices):
-    """Reduce side of the exchange: (block metadata, apply_fn over the
-    concatenation of one partition's slices)."""
-    t = pa.concat_tables(
-        [_as_arrow(s) for s in slices], promote_options="permissive"
-    )
-    out = _apply_groups(apply_fn, batch_format, t)
-    return block_meta(out), out
+def _reduce_part(apply_fn, schemas: list, counts: list, *slices):
+    """Reduce side of the exchange: the slices of one partition, the
+    first counts[0] from input 0 and so on, concatenated per input (a
+    zero-row table of schemas[i] when input i has none), then
+    apply_fn(*tables). Returns (metadata of each output, *outputs)."""
+    tables, at = [], 0
+    for schema, n in zip(schemas, counts):
+        side = [_as_arrow(s) for s in slices[at : at + n]] or [schema.empty_table()]
+        tables.append(pa.concat_tables(side, promote_options="permissive"))
+        at += n
+    outs = apply_fn(*tables)
+    outs = outs if isinstance(outs, tuple) else (outs,)
+    return (tuple(block_meta(o) for o in outs), *outs)
+
+
+def _reduce_parts(apply_fn, schemas: list, parts: list, required=(),
+                  num_outputs: int = 1) -> list:
+    """One `_reduce_part` task per partition of `parts` (per partition,
+    per input, slice refs) that has rows, and rows of every input in
+    `required`. Returns one materialized Dataset per output of
+    `apply_fn`, with no zero-row blocks; an output without rows is one
+    typed zero-row block, and when no partition runs it is `apply_fn`
+    over every input's zero-row table."""
+    import itertools
+
+    import ray
+    import ray.data as rd
+
+    parts = [p for p in parts if any(p) and all(p[i] for i in required)]
+    if not parts:
+        outs = apply_fn(*(s.empty_table() for s in schemas))
+        outs = outs if isinstance(outs, tuple) else (outs,)
+        return [rd.from_arrow(o) for o in outs]
+    fn_ref = ray.put(apply_fn)
+    reduce = remote_fn(_reduce_part).options(num_returns=num_outputs + 1)
+    res = [
+        reduce.remote(fn_ref, schemas, [len(s) for s in p], *itertools.chain(*p))
+        for p in parts
+    ]
+    # hold no reference to the slices past the submission of the tasks
+    # that read them: Ray frees each once its last reader finishes
+    del parts
+    metas = ray.get([r[0] for r in res])
+    datasets = []
+    for i in range(num_outputs):
+        blocks = [(r[i + 1], m[i]) for r, m in zip(res, metas) if m[i].num_rows]
+        datasets.append(from_block_refs(blocks or [(res[0][i + 1], metas[0][i])]))
+    return datasets
+
+
+def cogroup(datasets: list, keys: list, apply_fn, *, num_parts: int = 64,
+            required=(), num_outputs: int = 1) -> list:
+    """The hash exchange on plain Ray tasks, over one or more inputs:
+    every row of a key of every input meets in one `apply_fn` call.
+
+    - every input is materialized; one split task per non-empty block
+      tags each row with an avalanche hash of that input's `keys[i]`
+      columns and slices the block into P parts, returned as task
+      returns (part 0 is the row counts), so lineage can rebuild a lost
+      slice;
+    - the driver reads only the counts and starts one reduce task per
+      partition, which concatenates each input's slices as its own table
+      and calls apply_fn(*tables) once (see `_reduce_parts` for which
+      partitions run and what an empty result is).
+
+    P = min(num_parts, number of non-empty input blocks), the block
+    count Ray's own sort shuffle keeps: every split slice and reduce
+    task has a fixed scheduling and worker cost, so a fixed larger P
+    only adds tasks on small inputs.
+
+    apply_fn returns `num_outputs` Arrow tables (one table, or a
+    tuple); the result is a list of one Dataset per output.
+    """
+    mats = [materialized(ds) for ds in datasets]
+    schemas = [_arrow_schema(m) for m in mats]
+    refs = [nonempty_block_refs(m) for m in mats]
+    nparts = max(1, min(int(num_parts), sum(len(r) for r in refs)))
+    parts = [refs] if nparts == 1 else _split_blocks(list(zip(refs, keys)), nparts)
+    # hold no reference to the input blocks past the submission of the
+    # tasks that read them, so input, slices and output are not all
+    # resident at once
+    del mats, refs
+    return _reduce_parts(apply_fn, schemas, parts, required, num_outputs)
 
 
 @functools.cache
@@ -434,65 +461,37 @@ def partitioned_groupby(ds, keys, apply_fn, *, num_parts: int = 64,
 
     Ray's built-in `groupby(...).aggregate(...)` finalizes per GROUP in
     Python (~20us/group): at millions of distinct keys that is minutes
-    (measured: 8M-key Count = 183s on 8 cpus). Here the exchange is one
-    direct hash shuffle on plain Ray tasks:
+    (measured: 8M-key Count = 183s on 8 cpus). Here it is the one-input
+    form of the hash exchange (`cogroup`).
 
-    - one split task per non-empty input block tags each row with an
-      avalanche hash of its keys and slices the block into P parts,
-      returned as task returns (part 0 is the row counts), so lineage
-      can rebuild a lost slice;
-    - the driver reads only the counts and starts one reduce task per
-      non-empty partition, which concatenates that partition's slices
-      and calls `apply_fn` once;
-    - the result is a Dataset of the non-empty reduce outputs, built
-      from the metadata the reduce tasks return (`from_block_refs`).
-
-    P = min(num_parts, number of non-empty input blocks), the block
-    count Ray's own sort shuffle keeps: every split slice and reduce task
-    has a fixed scheduling and worker cost, so a fixed larger P only
-    adds tasks on small inputs.
     Every row of a key lands in exactly one partition, so any per-key
-    aggregation is exact. The input is materialized first, and the call
-    returns a materialized Dataset with no zero-row blocks (a result
-    with no rows is one typed zero-row block). For empty input it is
-    `apply_fn` applied to the empty input table, when the input has a
-    schema.
+    aggregation is exact. The call returns a materialized Dataset with
+    no zero-row blocks (a result with no rows is one typed zero-row
+    block). For empty input it is `apply_fn` applied to the empty input
+    table, when the input has a schema.
 
     apply_fn: pandas DataFrame (one whole hash partition) -> pandas
     DataFrame. It must itself group by `keys` (e.g.
     df.groupby(keys).agg(...)); partitions are disjoint by key.
 
     batch_format="pyarrow" hands apply_fn the partition as a pa.Table
-    (and expects one back) — callers whose partitions carry cheap
-    all-null padding columns (cogroup_join) use it to filter/project in
-    Arrow before any pandas materialization.
+    (and expects one back), for callers that filter or project in Arrow
+    before any pandas materialization.
     """
-    import ray
-    import ray.data as rd
-
-    keys = [keys] if isinstance(keys, str) else list(keys)
     mat = materialized(ds)
-    refs = nonempty_block_refs(mat)
-    if not refs:
-        empty = empty_table(mat)
-        if empty.num_columns == 0:
-            return mat
-        return rd.from_arrow(_apply_groups(apply_fn, batch_format, empty))
+    if not nonempty_block_refs(mat) and empty_table(mat).num_columns == 0:
+        return mat
+    fn = functools.partial(_apply_groups, apply_fn, batch_format)
+    return cogroup([mat], [_key_list(keys)], fn, num_parts=num_parts)[0]
 
-    nparts = max(1, min(int(num_parts), len(refs)))
-    parts = [refs] if nparts == 1 else _split_blocks(refs, keys, nparts)
-    # hold no reference to the input blocks or the slices past the
-    # submission of the tasks that read them: Ray frees each once its
-    # last reader finishes, so input, slices and output are not all
-    # resident at once
-    del mat, refs
-    fn_ref = ray.put(apply_fn)
-    reduce = remote_fn(_reduce_part).options(num_returns=2)
-    res = [reduce.remote(fn_ref, batch_format, *s) for s in parts if s]
-    del parts
-    metas = ray.get([r[0] for r in res])
-    blocks = [(r[1], m) for r, m in zip(res, metas) if m.num_rows]
-    return from_block_refs(blocks or [(res[0][1], metas[0])])
+
+def _arrow_schema(mat) -> pa.Schema:
+    """The Arrow schema of a materialized Dataset: its first non-empty
+    Arrow block's, else `empty_table`'s (no fields when it has none)."""
+    for _, meta in nonempty_blocks(mat):
+        if isinstance(meta.schema, pa.Schema) and meta.schema.names:
+            return meta.schema.remove_metadata()
+    return empty_table(mat).schema
 
 
 def materialized(ds):
@@ -729,111 +728,18 @@ def _canon_block(block, cols: dict, rename: dict):
     return block_meta(t), t
 
 
-def cogroup_anti_join(left, right, *, on: str, right_on: str | None = None,
-                      num_parts: int = 64):
-    """Left rows whose `on` key has NO match in right's `right_on` — the
-    shuffle anti-join (J5). Both sides are hash-partitioned by key, so it
-    scales past the broadcast-key-set pattern (`broadcast_semi_join`)
-    when the right side's distinct-key set is itself big."""
-    import numpy as np
-
-    rk = right_on or on
-    lschema = left.schema()
-    lcols = dict(zip(lschema.names, lschema.types))
-    key_t = lcols[on]
-
-    def lnorm(batch: pa.Table) -> pa.Table:
-        out = {c: batch[c] for c in lcols}
-        out["__side"] = pa.array(np.zeros(batch.num_rows, np.int8))
-        return pa.table(out)
-
-    def rnorm(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        out = {
-            c: (batch[rk].cast(key_t) if c == on else pa.nulls(n, t))
-            for c, t in lcols.items()
-        }
-        out["__side"] = pa.array(np.ones(n, np.int8))
-        return pa.table(out)
-
-    both = left.map_batches(lnorm, batch_format="pyarrow").union(
-        right.select_columns([rk]).map_batches(rnorm, batch_format="pyarrow")
-    )
-
-    def anti(df: pd.DataFrame) -> pd.DataFrame:
-        lp = df[df["__side"] == 0]
-        rkeys = df.loc[df["__side"] == 1, on].unique()
-        return lp[~lp[on].isin(rkeys)].drop(columns="__side")
-
-    return partitioned_groupby(both, on, anti, num_parts=num_parts)
-
-
-def cogroup_join(left, right, *, on: str, right_on: str, num_parts: int = 64):
-    """Inner hash join built on partitioned_groupby: both sides get the
-    same key-hash partition column, are schema-normalized (union of
-    columns, typed nulls for the missing side, plus a __side tag), and
-    every partition does ONE vectorized pandas merge.
-
-    Exists because ray 2.49's `Dataset.join` anti-scales on this
-    workload (more CPUs -> slower; measured 32s+ per join of 1.7M x
-    0.6M rows) and crashes on sparse partitions; this path reuses
-    partitioned_groupby's hash exchange on plain Ray tasks.
-    The right key column is dropped from the output (Dataset.join
-    parity).
-    """
-    import numpy as np
-    import pyarrow.compute as pc  # noqa: F401  (kept for parity with callers)
-
-    lschema = left.schema()
-    rschema = right.schema()
-    lcols = dict(zip(lschema.names, lschema.types))
-    rcols = dict(zip(rschema.names, rschema.types))
-    payload_r = {k: v for k, v in rcols.items() if k != right_on}
-    overlap = set(lcols) & set(payload_r)
-    if overlap:
-        raise ValueError(f"column collision in cogroup_join: {overlap}")
-    all_cols = {"__key": lcols.get(on, rcols.get(right_on))}
-    all_cols.update({k: v for k, v in lcols.items() if k != on} | payload_r)
-
-    def norm(key_col, keep_cols):
-        def fn(batch: pa.Table) -> pa.Table:
-            n = batch.num_rows
-            out = {"__key": batch[key_col].cast(all_cols["__key"])}
-            for k, t in all_cols.items():
-                if k == "__key":
-                    continue
-                out[k] = (
-                    batch[k].cast(t) if k in keep_cols and k in batch.column_names
-                    else pa.nulls(n, t)
-                )
-            out["__side"] = pa.array(np.full(n, 0 if key_col == on else 1, np.int8))
-            return pa.table(out)
-
-        return fn
-
-    lnorm = left.map_batches(norm(on, set(lcols)), batch_format="pyarrow")
-    rnorm = right.map_batches(norm(right_on, set(rcols)), batch_format="pyarrow")
-    both = lnorm.union(rnorm)
-
-    l_payload = [k for k in lcols if k != on]
-    r_payload = list(payload_r)
-
-    def merge(t: pa.Table) -> pa.Table:
-        # filter/project in Arrow FIRST: each side's padding columns are
-        # all-null (validity-bitmap-only) until pandas materializes them —
-        # converting the full union-schema partition would allocate
-        # n x padded-width of NaNs per partition (VERDICT r1 #10)
-        lmask = pc.equal(t["__side"], 0)
-        lp = t.filter(lmask).select(["__key"] + l_payload).to_pandas()
-        rp = t.filter(pc.invert(lmask)).select(["__key"] + r_payload).to_pandas()
-        out = lp.merge(rp, on="__key", how="inner").rename(columns={"__key": on})
-        return pa.Table.from_pandas(
-            out, preserve_index=False
-        ).replace_schema_metadata(None)
-
-    return partitioned_groupby(
-        both, "__key", merge, num_parts=num_parts, batch_format="pyarrow"
-    )
+def cogroup_anti_join(left, right, *, on, right_on=None, num_parts: int = 64):
+    """Left rows whose `on` key (a column, or a tuple of them) has NO
+    match in right's `right_on` — the shuffle anti-join (J5). Both sides
+    go through the hash exchange (`cogroup`), so it scales past the
+    broadcast-key-set pattern (`broadcast_semi_join`) when the right
+    side's distinct-key set is itself big. Null keys match nothing, so
+    left rows with a null key are kept."""
+    lks = _key_list(on)
+    rks = _key_list(right_on) if right_on is not None else lks
+    kernel = functools.partial(join_tables, lks=lks, rks=rks, join_type="anti")
+    return cogroup([left, right.select_columns(rks)], [lks, rks], kernel,
+                   num_parts=num_parts, required=(0,))[0]
 
 
 def asof_join(left, right, *, on: str, right_on: str, by: str, right_by: str,
@@ -844,10 +750,9 @@ def asof_join(left, right, *, on: str, right_on: str, by: str, right_by: str,
     `by`/`right_by` key — the time-series join the Dataset API lacks
     (M19-adjacent; the "latest state as of event time" primitive).
 
-    Both sides are hash-partitioned by the key (the cogroup_join
-    pattern: union + typed-null schema normalization + one vectorized
-    fold per partition), so a partition holds every row of its keys and
-    a single `pandas.merge_asof` resolves it exactly — no driver
+    Both sides go through the hash exchange (`cogroup`) by key, so a
+    partition holds every row of its keys and a single
+    `pandas.merge_asof` resolves it exactly — no driver
     materialization, no all-pairs inequality join. `tiebreak` columns
     make equal-`right_on` matches deterministic (the max tiebreak tuple
     wins; merge_asof takes the LAST right row in sort order).
@@ -855,67 +760,32 @@ def asof_join(left, right, *, on: str, right_on: str, by: str, right_by: str,
     rows are dropped unless keep_unmatched (left-join semantics with
     nulls in the right payload).
     """
-    import numpy as np
-
-    lschema = left.schema()
-    rschema = right.schema()
-    lcols = dict(zip(lschema.names, lschema.types))
-    rcols = dict(zip(rschema.names, rschema.types))
-    payload_r = {k: v for k, v in rcols.items() if k != right_by}
-    overlap = set(lcols) & set(payload_r)
+    left, right = materialized(left), materialized(right)
+    lnames = _arrow_schema(left).names
+    overlap = set(lnames) & (set(_arrow_schema(right).names) - {right_by})
     if overlap:
-        raise ValueError(f"column collision in asof_join: {overlap}")
-    all_cols = {"__key": lcols.get(by, rcols.get(right_by))}
-    all_cols.update({k: v for k, v in lcols.items() if k != by} | payload_r)
-    tiebreak = list(tiebreak or [])
-
-    def norm(key_col, keep_cols):
-        def fn(batch: pa.Table) -> pa.Table:
-            n = batch.num_rows
-            out = {"__key": batch[key_col].cast(all_cols["__key"])}
-            for k, t in all_cols.items():
-                if k == "__key":
-                    continue
-                out[k] = (
-                    batch[k].cast(t) if k in keep_cols and k in batch.column_names
-                    else pa.nulls(n, t)
-                )
-            out["__side"] = pa.array(
-                np.full(n, 0 if key_col == by else 1, np.int8)
-            )
-            return pa.table(out)
-
-        return fn
-
-    both = left.map_batches(norm(by, set(lcols)), batch_format="pyarrow").union(
-        right.map_batches(norm(right_by, set(rcols)), batch_format="pyarrow")
+        raise ValueError(f"column collision in asof_join: {sorted(overlap)}")
+    fold = functools.partial(
+        _asof_tables, on=on, right_on=right_on, by=by, right_by=right_by,
+        tiebreak=list(tiebreak or []), keep_unmatched=keep_unmatched,
     )
+    return cogroup([left, right], [[by], [right_by]], fold, num_parts=num_parts,
+                   required=(0,) if keep_unmatched else (0, 1))[0]
 
-    l_payload = [k for k in lcols if k != by]
-    r_payload = list(payload_r)
 
-    def fold(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        lmask = pc.equal(t["__side"], 0)
-        lp = t.filter(lmask).select(["__key"] + l_payload).to_pandas()
-        rp = t.filter(pc.invert(lmask)).select(["__key"] + r_payload).to_pandas()
-        lp = lp.sort_values(on, kind="mergesort")
-        rp = rp.sort_values([right_on] + tiebreak, kind="mergesort")
-        out = pd.merge_asof(
-            lp, rp, left_on=on, right_on=right_on, by="__key",
-            direction="backward",
-        )
-        if not keep_unmatched:
-            out = out[out[right_on].notna()]
-        out = out.rename(columns={"__key": by})
-        return pa.Table.from_pandas(
-            out, preserve_index=False
-        ).replace_schema_metadata(None)
-
-    return partitioned_groupby(
-        both, "__key", fold, num_parts=num_parts, batch_format="pyarrow"
-    )
+def _asof_tables(left: pa.Table, right: pa.Table, *, on: str, right_on: str,
+                 by: str, right_by: str, tiebreak: list,
+                 keep_unmatched: bool) -> pa.Table:
+    """One partition of `asof_join`: pandas merge_asof of its two sides."""
+    rkey = right[right_by].cast(left[by].type)
+    right = right.drop_columns([right_by]).append_column(by, rkey)
+    lp = left.to_pandas().sort_values(on, kind="mergesort")
+    rp = right.to_pandas().sort_values([right_on] + tiebreak, kind="mergesort")
+    out = pd.merge_asof(lp, rp, left_on=on, right_on=right_on, by=by,
+                        direction="backward")
+    if not keep_unmatched:
+        out = out[out[right_on].notna()]
+    return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
 
 
 def build_bloom(ds, key: str, *, n_bits: int = 1 << 23, k_hashes: int = 7,

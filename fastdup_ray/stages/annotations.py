@@ -52,17 +52,13 @@ def expand_annotations(docs, annotations, *, num_partitions: int = 32):
             pc.if_else(pc.invert(has_doc), pa.scalar(ERR_MISSING_DOC),
                        pa.scalar("")),
         )
-        # annotation-only rows must keep the annotation's own url so
+        # annotation-only rows keep the annotation's own url, so
         # MISSING_DOC rows identify which annotation is dangling
         # (reference _expand_annot_df keeps the annotation filename,
-        # fastdup_controller.py:1110-1224). Ray's outer join coalesces
-        # the join key into the left name; fall back to a_url if a
-        # join path ever surfaces it separately.
-        url = batch["url"]
-        if "a_url" in batch.column_names:
-            url = pc.coalesce(url, batch["a_url"])
+        # fastdup_controller.py:1110-1224): the full outer join
+        # coalesces the join key into the left name
         cols = {
-            "url": pc.cast(url, pa.string()),
+            "url": pc.cast(batch["url"], pa.string()),
             "doc_id": pc.cast(pc.fill_null(batch["doc_id"], -1), pa.int64()),
             "annot_error": err,
         }

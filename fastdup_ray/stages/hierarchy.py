@@ -31,7 +31,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from fastdup_ray.config import DedupConfig
-from fastdup_ray.relational.ops import cogroup_join, with_schema
+from fastdup_ray.relational.ops import hash_join, with_schema
 from fastdup_ray.stages.components import connected_components
 from fastdup_ray.stages.lsh import candidate_pairs
 from fastdup_ray.stages.signatures import BandStage, SignStage
@@ -56,12 +56,12 @@ def component_medoids(components, signatures, config: DedupConfig | None = None)
 
     cfg = config or DedupConfig()
     P = cfg.num_perms
-    joined = cogroup_join(
+    joined = hash_join(
         components.select_columns(["doc_id", "component_id"]),
         signatures.select_columns(["doc_id", "minhash"]).rename_columns(
             {"doc_id": "sdoc"}
         ),
-        on="doc_id", right_on="sdoc", num_parts=cfg.num_partitions,
+        on="doc_id", right_on="sdoc", num_partitions=cfg.num_partitions,
     )
     joined = with_schema(
         joined,
@@ -80,7 +80,7 @@ def component_medoids(components, signatures, config: DedupConfig | None = None)
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
         # works for list<uint32> and fixed_size_list<uint32> alike (the
-        # cogroup shuffle relaxes fixed_size_list to list)
+        # with_schema above casts fixed_size_list to list)
         sig = (
             col.flatten().to_numpy(zero_copy_only=False)
             .astype(np.uint32, copy=False).reshape(-1, P)
@@ -185,11 +185,11 @@ def hierarchical_components(docs, components, config: DedupConfig | None = None,
             )
         medoids = component_medoids(components, signatures, cfg)
         # exemplar text = the medoid member's text, keyed by component_id
-        med_docs = cogroup_join(
+        med_docs = hash_join(
             medoids, docs.select_columns(["doc_id", "text"]).rename_columns(
                 {"doc_id": "xdoc"}
             ),
-            on="doc_id", right_on="xdoc", num_parts=cfg.num_partitions,
+            on="doc_id", right_on="xdoc", num_partitions=cfg.num_partitions,
         )
         exemplars = with_schema(
             med_docs,
@@ -201,12 +201,12 @@ def hierarchical_components(docs, components, config: DedupConfig | None = None,
             batch_format="pyarrow",
         ).materialize()
     else:
-        exemplars = cogroup_join(
+        exemplars = hash_join(
             exemplar_ids,
             docs.select_columns(["doc_id", "text"]).rename_columns(
                 {"doc_id": "xdoc"}
             ),
-            on="component_id", right_on="xdoc", num_parts=cfg.num_partitions,
+            on="component_id", right_on="xdoc", num_partitions=cfg.num_partitions,
         ).map_batches(
             lambda b: pa.table(
                 {"doc_id": b["component_id"].cast(pa.int64()), "text": b["text"]}
@@ -259,10 +259,10 @@ def hierarchical_components(docs, components, config: DedupConfig | None = None,
 
     # every component gets a cluster: clustered ones take their CC label,
     # singletons map to themselves (left join + coalesce)
-    joined = cogroup_join(
+    joined = hash_join(
         exemplar_ids,
         labels,
-        on="component_id", right_on="lnode", num_parts=cfg.num_partitions,
+        on="component_id", right_on="lnode", num_partitions=cfg.num_partitions,
     ).map_batches(
         lambda b: pa.table(
             {

@@ -10,9 +10,8 @@ edge list; PageRank is the standard damped power iteration
 run for a fixed number of rounds. Like connected components
 (stages/components.py), small graphs finish on the driver (one numpy
 `np.add.at` scatter per round); above `driver_max_edges` each round is a
-cogroup join (pr onto edge sources) plus a partitioned sum by
-destination — two hash shuffles of the edge list per round, no
-driver-side state.
+`hash_join` (pr onto edge sources) plus a partitioned sum by
+destination, no driver-side state.
 
 Output: (node, pagerank, delta, degree) — delta is the last round's
 |pr - pr_prev| per node, the reference's convergence diagnostic.
@@ -26,7 +25,7 @@ import pyarrow as pa
 
 from fastdup_ray.config import DedupConfig
 from fastdup_ray.relational.ops import (
-    cogroup_join, drop_empty_blocks, partitioned_groupby, with_schema,
+    drop_empty_blocks, hash_join, partitioned_groupby, with_schema,
 )
 
 
@@ -128,9 +127,9 @@ def pagerank(edges, config: DedupConfig | None = None, *, damping: float = 0.85,
     state = deg.map_batches(init_pr, batch_format="pyarrow").materialize()
     delta_col = None
     for _ in range(iters):
-        joined = cogroup_join(
+        joined = hash_join(
             sym, state.rename_columns({"node": "pnode"}),
-            on="u", right_on="pnode", num_parts=cfg.num_partitions,
+            on="u", right_on="pnode", num_partitions=cfg.num_partitions,
         )
 
         def contrib(batch: pa.Table) -> pa.Table:
@@ -155,10 +154,10 @@ def pagerank(edges, config: DedupConfig | None = None, *, damping: float = 0.85,
         # some blocks; schema() keeps the old name)
         acc = with_schema(acc, {"anode": pa.int64(), "c": pa.float64()},
                           rename={"node": "anode"})
-        merged = cogroup_join(
+        merged = hash_join(
             state.rename_columns({"pr": "pr_old"}),
             acc,
-            on="node", right_on="anode", num_parts=cfg.num_partitions,
+            on="node", right_on="anode", num_partitions=cfg.num_partitions,
         )
 
         def update(batch: pa.Table) -> pa.Table:

@@ -33,9 +33,9 @@ Scale shape (the 100-TB story):
     once via `ray.put` and applied in a second map pass; only documents
     that actually lost a window take the (rare) Python rebuild path,
     untouched documents are rebuilt with the same vectorized join. Above
-    a kill-list budget, switch `apply` to the cogroup-join path
-    (relational.ops.cogroup_join on doc_id) — same semantics, no driver
-    state; the budget guard is in `span_dedup_docs`.
+    a kill-list budget, `apply` switches to the hash exchange on doc_id
+    (relational.ops.cogroup) — same semantics, no driver state; the
+    budget guard is in `span_dedup_docs`.
 """
 
 from __future__ import annotations
@@ -48,10 +48,10 @@ import pyarrow.compute as pc
 import ray
 
 from fastdup_ray.functions.hashing import id63
-from fastdup_ray.relational.ops import partitioned_groupby
+from fastdup_ray.relational.ops import cogroup, partitioned_groupby
 
 # Broadcast the kill list only while it plausibly fits in every worker's
-# heap; beyond this, fall back to a cogroup shuffle join on doc_id.
+# heap; beyond this, fall back to the hash exchange on doc_id.
 _BROADCAST_KILL_BUDGET = 5_000_000
 
 
@@ -207,8 +207,8 @@ def span_dedup_docs(docs, *, window: int = 13, num_parts: int = 64,
     Kill lists up to `broadcast_budget` occurrences are collected once
     and broadcast via `ray.put`; the rebuild is then a second pure map
     over the documents. Above the budget the rebuild switches to a
-    cogroup shuffle on doc_id (docs ∪ kills hash-partitioned together,
-    per-partition dict build + the same `_rebuild_batch` kernel) — no
+    hash exchange on doc_id (docs and kills partitioned together, the
+    same `_rebuild_batch` kernel per partition) — no
     driver state of any size, one extra exchange of the doc table."""
     kills = span_kill_list(docs, window=window, num_parts=num_parts)
     kills = kills.select_columns(["doc_id", "win_idx"]).materialize()
@@ -227,37 +227,22 @@ def span_dedup_docs(docs, *, window: int = 13, num_parts: int = 64,
 
 
 def _span_rebuild_cogroup(docs, kills, *, window: int, num_parts: int):
-    """Shuffle-rebuild path: tag and union both sides, hash-partition on
-    doc_id so a document meets exactly its own kill rows, then run the
-    broadcast path's rebuild kernel per partition."""
+    """Exchange-rebuild path: documents and kill rows meet per doc_id in
+    the hash exchange (`cogroup`), so a document meets exactly its own
+    kill rows; then the broadcast path's rebuild kernel runs per
+    partition."""
 
-    def tag_docs(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "doc_id": batch["doc_id"].cast(pa.int64()),
-            "text": batch["text"],
-            "win_idx": pa.nulls(batch.num_rows, pa.int64()),
-        })
-
-    def tag_kills(batch: pa.Table) -> pa.Table:
-        return pa.table({
-            "doc_id": batch["doc_id"].cast(pa.int64()),
-            "text": pa.nulls(batch.num_rows, pa.string()),
-            "win_idx": batch["win_idx"].cast(pa.int64()),
-        })
-
-    both = docs.map_batches(tag_docs, batch_format="pyarrow").union(
-        kills.map_batches(tag_kills, batch_format="pyarrow"))
-
-    def rebuild_part(df: pd.DataFrame) -> pd.DataFrame:
-        is_doc = df["text"].notna()
-        kd = df.loc[~is_doc, "doc_id"].to_numpy(np.int64)
-        kw = df.loc[~is_doc, "win_idx"].to_numpy(np.int64)
-        part = df.loc[is_doc, ["doc_id", "text"]]
+    def rebuild_part(part_docs: pa.Table, part_kills: pa.Table) -> pa.Table:
         batch = pa.table({
-            "doc_id": pa.array(part["doc_id"].to_numpy(), pa.int64()),
-            "text": pa.array(part["text"].astype(str)),
+            "doc_id": part_docs["doc_id"].cast(pa.int64()),
+            "text": part_docs["text"].cast(pa.string()),
         })
-        return _rebuild_batch(batch, window, kd, kw).to_pandas()
+        kd = part_kills["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        kw = part_kills["win_idx"].to_numpy(zero_copy_only=False).astype(np.int64)
+        return _rebuild_batch(batch, window, kd, kw)
 
-    return partitioned_groupby(both, "doc_id", rebuild_part,
-                               num_parts=num_parts)
+    return cogroup(
+        [docs.select_columns(["doc_id", "text"]), kills],
+        [["doc_id"], ["doc_id"]], rebuild_part, num_parts=num_parts,
+        required=(0,),
+    )[0]

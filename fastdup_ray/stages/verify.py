@@ -149,7 +149,9 @@ def _build_index(packed: list, payload_bytes: int) -> list:
     At S = 1 one task reads every block; above, the exchange's split
     tasks route each row to its shard first."""
     num_shards = max(1, -(-payload_bytes // _SHARD_BYTES))
-    parts = [packed] if num_shards == 1 else _split_blocks(packed, ["doc_id"], num_shards)
+    parts = [packed] if num_shards == 1 else [
+        side for side, in _split_blocks([(packed, ["doc_id"])], num_shards)
+    ]
     build = remote_fn(_build_shard)
     return [build.remote(*p) for p in parts]
 

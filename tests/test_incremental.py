@@ -192,3 +192,14 @@ def test_load_result_ignores_config_keys_of_deleted_fields(ray_session, tmp_path
     loaded = NearDupPipeline.load_result(wd)
     assert loaded.cfg == cfg
     assert loaded.summary() == orig.summary()
+
+
+def test_from_dict_ignores_deleted_extract_concurrency():
+    """A manifest config written while DedupConfig still had
+    `extract_concurrency` loads with its other fields intact."""
+    import dataclasses
+
+    old = DedupConfig(threshold=0.85).to_dict()
+    old["extract_concurrency"] = 4
+    assert DedupConfig.from_dict(old) == DedupConfig(threshold=0.85)
+    assert "extract_concurrency" not in {f.name for f in dataclasses.fields(DedupConfig)}

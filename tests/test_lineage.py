@@ -1,11 +1,13 @@
 """A worker killed mid-task is retried by Ray and the pipeline's output
 is unchanged: the first attempt of one verify index build task and of
-one exchange reduce task dies with `os._exit`, and in an increment, the
+one exchange reduce task dies with `os._exit`; in an increment, the
 first attempt of one score-split reduce task and of one verify pack
-task."""
+task; and in a left_outer `hash_join` through the exchange, the first
+attempt of one two-input reduce task."""
 
 import os
 
+import ray
 import ray.data as rd
 
 from fastdup_ray.config import DedupConfig
@@ -81,11 +83,42 @@ def test_killed_split_and_pack_tasks_are_retried(ray_session, tmp_path, monkeypa
     clean = run("clean")
     split_marker = str(tmp_path / "split.died")
     pack_marker = str(tmp_path / "pack.died")
-    monkeypatch.setattr(neardup, "_split_part",
-                        _die_on_first_attempt(neardup._split_part, split_marker))
+    monkeypatch.setattr(neardup, "_reuse_or_verify",
+                        _die_on_first_attempt(neardup._reuse_or_verify, split_marker))
     monkeypatch.setattr(verify, "_pack_endpoint_sets",
                         _die_on_first_attempt(verify._pack_endpoint_sets, pack_marker))
     faulted = run("faulted")
     assert os.path.exists(split_marker) and os.path.exists(pack_marker)
     assert faulted == clean
     assert clean["pair_scores"] and clean["components"]
+
+
+def test_killed_join_reduce_task_is_retried(ray_session, tmp_path, monkeypatch):
+    import pyarrow as pa
+
+    from fastdup_ray.relational import ops
+
+    n = 400
+    left = pa.table({"k": pa.array([i % 53 for i in range(n)], pa.int64()),
+                     "lv": pa.array(range(n), pa.int64())})
+    right = pa.table({"rk": pa.array(range(0, 80, 2), pa.int64()),
+                      "rl": pa.array([[i, i + 1] for i in range(40)], pa.list_(pa.int64()))})
+
+    def join():
+        out = ops.hash_join(
+            rd.from_arrow([left.slice(i, 100) for i in range(0, n, 100)]),
+            rd.from_arrow([right.slice(0, 25), right.slice(25)]),
+            on="k", right_on="rk", join_type="left_outer", num_partitions=4,
+            broadcast_rows=0,
+        ).to_arrow_refs()
+        t = pa.concat_tables(ray.get(out))
+        return sorted(zip(*(t[c].to_pylist() for c in ("k", "lv", "rl"))), key=repr)
+
+    clean = join()
+    marker = str(tmp_path / "join.died")
+    monkeypatch.setattr(ops, "_reduce_part",
+                        _die_on_first_attempt(ops._reduce_part, marker))
+    faulted = join()
+    assert os.path.exists(marker)
+    assert faulted == clean
+    assert len(clean) == n and any(r[2] is None for r in clean)

@@ -1,7 +1,7 @@
 """Round-2 additions: own-code hash vectors, large-doc minhash, outlier
 semantics, substring multi-run recall, annotation url coalesce, pagerank,
-hierarchical components, classification report, sharded search, shuffle
-anti-join, vectorized stats parity, galleries, file:// work_dir."""
+hierarchical components, classification report, sharded search,
+vectorized stats parity, galleries, file:// work_dir."""
 
 import numpy as np
 import pyarrow as pa
@@ -44,17 +44,6 @@ def test_minhash_large_doc_over_chunk_budget():
     assert (sig[1] == sig[2]).all() and (sig[0] == sig[3]).all()
     solo, _ = m.signatures([big])
     assert (solo[0] == sig[1]).all()
-
-
-# ------------------------------------------------------------------ anti-join
-def test_cogroup_anti_join(ray_session):
-    from fastdup_ray.relational.ops import cogroup_anti_join
-
-    left = rd.from_arrow(pa.table({"k": pa.array([1, 2, 3, 4, 5], pa.int64()),
-                                   "v": pa.array(list("abcde"))}))
-    right = rd.from_arrow(pa.table({"r": pa.array([2, 4, 4, 9], pa.int64())}))
-    out = cogroup_anti_join(left, right, on="k", right_on="r").take_all()
-    assert sorted((r["k"], r["v"]) for r in out) == [(1, "a"), (3, "c"), (5, "e")]
 
 
 # ------------------------------------------------------------------- pagerank

@@ -271,36 +271,6 @@ def test_combine_aggregate_custom_merge_minmax(ray_session):
     assert got["mx"].tolist() == [5, 10]
 
 
-def test_hash_join_broadcast_matches_shuffle(ray_session):
-    """The broadcast small-side path must return exactly what the
-    shuffle path returns (left key kept, right key dropped)."""
-    import pandas as pd
-
-    from fastdup_ray.relational.ops import hash_join
-
-    rng = np.random.default_rng(11)
-    left = pd.DataFrame(
-        {"k": rng.integers(0, 50, size=2000), "lv": np.arange(2000)}
-    )
-    right = pd.DataFrame({"rk": np.arange(0, 40), "name": [f"n{i}" for i in range(40)]})
-    lds = rd.from_pandas(left).repartition(7)
-    rds = rd.from_pandas(right)
-
-    bc = hash_join(lds, rds, on="k", right_on="rk").to_pandas()
-    sh = hash_join(
-        lds, rds, on="k", right_on="rk", broadcast_rows=0
-    ).to_pandas()
-    key = ["k", "lv", "name"]
-    assert sorted(bc.columns) == sorted(sh.columns) == sorted(key)
-    bc = bc[key].sort_values(key).reset_index(drop=True)
-    sh = sh[key].sort_values(key).reset_index(drop=True)
-    pd.testing.assert_frame_equal(bc, sh)
-    # oracle: pandas inner merge
-    want = left.merge(right, left_on="k", right_on="rk").drop(columns="rk")
-    want = want[key].sort_values(key).reset_index(drop=True)
-    pd.testing.assert_frame_equal(bc, want, check_dtype=False)
-
-
 def test_srp_lsh_recall_vs_exact(ray_session):
     """SRP-LSH + exact rescore vs the blocked all-pairs baseline:
     precision must be 1.0 with identical distances (every candidate is
@@ -342,99 +312,6 @@ def test_srp_lsh_recall_vs_exact(ray_session):
     em = {(s, t): x for s, t, x in zip(exact["src"], exact["dst"], exact["distance"])}
     for s, t, x in zip(lsh["src"], lsh["dst"], lsh["distance"]):
         assert abs(em[(s, t)] - x) < 1e-9
-
-
-def test_asof_join_matches_pandas_oracle(ray_session):
-    """Distributed as-of join == a single global merge_asof, including
-    deterministic tie-breaks on equal right timestamps."""
-    import pandas as pd
-
-    from fastdup_ray.relational.ops import asof_join
-
-    rng = np.random.default_rng(5)
-    n_l, n_r = 3000, 2000
-    left = pd.DataFrame({
-        "lid": np.arange(n_l),
-        "k": rng.integers(0, 40, n_l),
-        "t": rng.integers(0, 10_000, n_l).astype("datetime64[s]"),
-    })
-    right = pd.DataFrame({
-        "rk": rng.integers(0, 45, n_r),  # some keys only on one side
-        "rt": rng.integers(0, 10_000, n_r).astype("datetime64[s]"),
-        "rid": np.arange(n_r),
-        "payload": rng.standard_normal(n_r),
-    })
-    # force right-timestamp ties within a key so the tiebreak matters
-    right.loc[:200, "rt"] = right.loc[0, "rt"]
-    right.loc[:200, "rk"] = right.loc[0, "rk"]
-
-    got = asof_join(
-        rd.from_pandas(left).repartition(9),
-        rd.from_pandas(right).repartition(7),
-        on="t", right_on="rt", by="k", right_by="rk", tiebreak=["rid"],
-        num_parts=16,
-    ).to_pandas()
-
-    ls = left.sort_values("t", kind="mergesort")
-    rs = right.sort_values(["rt", "rid"], kind="mergesort").rename(
-        columns={"rk": "k"}
-    )
-    want = pd.merge_asof(ls, rs, left_on="t", right_on="rt", by="k",
-                         direction="backward")
-    want = want[want["rt"].notna()]
-
-    key = ["lid", "k", "rid"]
-    got = got[key].astype(np.int64).sort_values(key).reset_index(drop=True)
-    want = want[key].astype(np.int64).sort_values(key).reset_index(drop=True)
-    pd.testing.assert_frame_equal(got, want)
-
-
-def test_bloom_anti_join_matches_exact(ray_session):
-    """Bloom-prefiltered anti-join == plain cogroup anti-join (the sketch
-    changes shuffle volume, never the answer), and the prefilter
-    actually routes most non-matching rows around the shuffle."""
-    import pandas as pd
-
-    import ray as _ray
-
-    from fastdup_ray.relational.ops import (
-        bloom_cogroup_anti_join,
-        build_bloom,
-        cogroup_anti_join,
-    )
-
-    rng = np.random.default_rng(13)
-    left = pd.DataFrame({
-        "k": rng.integers(0, 100_000, 5000),
-        "v": np.arange(5000),
-    })
-    right = pd.DataFrame({"rk": rng.integers(0, 100_000, 800)})
-    lds = rd.from_pandas(left).repartition(9)
-    rds = rd.from_pandas(right).repartition(5)
-
-    got = bloom_cogroup_anti_join(lds, rds, on="k", right_on="rk",
-                                  num_parts=16).to_pandas()
-    want = cogroup_anti_join(lds, rds, on="k", right_on="rk",
-                             num_parts=16).to_pandas()
-    key = ["k", "v"]
-    # the bloom path restores exact int64 via with_schema; the plain path
-    # degrades to float64 through NaN padding — compare values
-    got = got[key].astype(np.int64).sort_values(key).reset_index(drop=True)
-    want = want[key].astype(np.int64).sort_values(key).reset_index(drop=True)
-    pd.testing.assert_frame_equal(got, want)
-    # pandas truth
-    truth = left[~left["k"].isin(set(right["rk"]))]
-    assert len(got) == len(truth)
-
-    # the Bloom itself: zero false negatives, few false positives
-    bloom_ref, test_fn = build_bloom(rds, "rk")
-    bm = _ray.get(bloom_ref)
-    keys = left["k"].to_numpy()
-    hit = test_fn(keys, bm)
-    true_hit = left["k"].isin(set(right["rk"])).to_numpy()
-    assert (hit | ~true_hit).all()  # no false negatives
-    fp = (hit & ~true_hit).mean()
-    assert fp < 0.05, f"false-positive rate {fp:.3f}"
 
 
 def test_leakage_safe_split_invariants(ray_session):
@@ -499,78 +376,3 @@ def test_srp_lsh_recall_at_scale_random_ids(ray_session):
     assert lk <= ek
     recall = len(lk & ek) / len(ek)
     assert recall >= 0.95, f"recall {recall:.3f} over {len(ek)} true pairs"
-
-
-def test_hash_join_broadcast_composite_keys(ray_session):
-    """Composite (tuple) join keys must survive the broadcast path."""
-    import pandas as pd
-
-    from fastdup_ray.relational.ops import hash_join
-
-    rng = np.random.default_rng(31)
-    left = pd.DataFrame({
-        "a": rng.integers(0, 10, 500),
-        "b": rng.integers(0, 10, 500),
-        "lv": np.arange(500),
-    })
-    right = pd.DataFrame({
-        "a": np.repeat(np.arange(10), 10),
-        "b": np.tile(np.arange(10), 10),
-        "rv": np.arange(100) * 7,
-    })
-    # same-named composite keys
-    got = hash_join(
-        rd.from_pandas(left).repartition(5), rd.from_pandas(right),
-        on=("a", "b"),
-    ).to_pandas()
-    want = left.merge(right, on=["a", "b"], how="inner")
-    key = ["a", "b", "lv", "rv"]
-    got = got[key].sort_values(key).reset_index(drop=True)
-    want = want[key].sort_values(key).reset_index(drop=True)
-    pd.testing.assert_frame_equal(got, want, check_dtype=False)
-
-
-def test_hash_join_broadcast_empty_left_blocks(ray_session):
-    """Broadcast-join output must not carry schema-less empty blocks
-    (zero-row shuffle blocks bypass map_batches UDFs): chaining a second
-    join after a partitioned_groupby left side must work."""
-    import pandas as pd
-
-    from fastdup_ray.relational.ops import hash_join, partitioned_groupby
-
-    left = pd.DataFrame({"k": np.arange(40) % 7, "v": np.arange(40)})
-
-    def agg(df):
-        return df.groupby("k", as_index=False).agg(s=("v", "sum"))
-
-    # 64 partitions >> 7 keys -> the sort shuffle emits many empty blocks
-    lds = partitioned_groupby(rd.from_pandas(left), "k", agg, num_parts=32)
-    r1 = pd.DataFrame({"rk": np.arange(7), "name": [f"n{i}" for i in range(7)]})
-    r2 = pd.DataFrame({"k2": np.arange(7), "extra": np.arange(7) * 3})
-    j1 = hash_join(lds, rd.from_pandas(r1), on="k", right_on="rk").materialize()
-    j2 = hash_join(j1, rd.from_pandas(r2), on="k", right_on="k2").to_pandas()
-    want = agg(left).merge(r1, left_on="k", right_on="rk").drop(columns="rk")
-    want = want.merge(r2, left_on="k", right_on="k2").drop(columns="k2")
-    key = sorted(want.columns)
-    got = j2[key].sort_values(key).reset_index(drop=True)
-    want = want[key].sort_values(key).reset_index(drop=True)
-    pd.testing.assert_frame_equal(got, want, check_dtype=False)
-
-
-def test_bloom_anti_join_string_keys(ray_session):
-    """Bloom prefilter must support non-integer keys (urls/domains)."""
-    import pandas as pd
-
-    from fastdup_ray.relational.ops import bloom_cogroup_anti_join
-
-    left = pd.DataFrame({
-        "u": [f"https://site{i}.com/p" for i in range(300)],
-        "v": np.arange(300),
-    })
-    right = pd.DataFrame({"ru": [f"https://site{i}.com/p" for i in range(0, 300, 3)]})
-    got = bloom_cogroup_anti_join(
-        rd.from_pandas(left).repartition(4), rd.from_pandas(right),
-        on="u", right_on="ru", num_parts=8,
-    ).to_pandas()
-    want = left[~left["u"].isin(set(right["ru"]))]
-    assert sorted(got["v"].astype(int)) == sorted(want["v"])
