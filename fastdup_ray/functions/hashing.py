@@ -5,11 +5,16 @@ no wall clock), so stage outputs are reproducible across runs, workers and
 parallelism levels — the property the reference lacks (its ids follow file
 listing order, SURVEY.md §2.11) and that our resume-from-checkpoint and
 parallelism-invariance tests rely on.
+
+The shingle (k-gram) hash runs in the native `shingle_hashes` kernel
+(fastdup_ray/native); the string and gram hashes stay numpy.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from fastdup_ray import native
 
 # 64-bit avalanche finalizer (splitmix64 / murmur3 fmix64 family).
 _M1 = np.uint64(0xFF51AFD7ED558CCD)
@@ -183,22 +188,12 @@ def _pow_u64(base: np.uint64, exp: np.ndarray) -> np.ndarray:
 def rolling_shingle_hashes(data: bytes, k: int) -> np.ndarray:
     """uint32 hashes of every k-byte window of ``data`` (len(data)-k+1 windows).
 
-    Polynomial hash over a k-wide sliding window computed as a strided
-    matrix-vector product in uint64 (wraps mod 2^64), then avalanche-mixed
-    and truncated to 32 bits. Fully vectorized.
+    The window's polynomial hash (sum of byte_i * B^(k-1-i), wrapping
+    mod 2^64), avalanche-mixed and truncated to its high 32 bits; one
+    rolling pass of the native ``shingle_hashes`` kernel.
     """
     arr = data if isinstance(data, np.ndarray) else np.frombuffer(data, dtype=np.uint8)
-    n = arr.shape[0] - k + 1
-    if n <= 0:
-        return np.empty(0, dtype=np.uint32)
-    coef = _pow_u64(np.uint64(0x100000001B3), np.arange(k - 1, -1, -1, dtype=np.uint64))
-    # accumulate the k-term polynomial without materializing an (n, k)
-    # window matrix (k passes over an n-sized uint64 temp, O(n) memory)
-    h = np.zeros(n, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        for i in range(k):
-            h += arr[i : i + n].astype(np.uint64) * coef[i]
-    return (mix64(h) >> np.uint64(32)).astype(np.uint32)
+    return native.shingle_hashes(arr, np.array([0, arr.shape[0]], np.int64), k)[0]
 
 
 def rolling_gram_hashes64(data, k: int) -> np.ndarray:
@@ -252,39 +247,22 @@ def segmented_gram_hashes64(texts, k: int):
 
 
 def segmented_shingle_hashes(texts, k: int):
-    """Shingle-hash a batch of texts in one numpy pass.
+    """Shingle-hash a batch of texts with one native kernel call.
 
     Returns (hashes: uint32[N_total], offsets: int64[n_docs+1]) where
-    hashes[offsets[i]:offsets[i+1]] are doc i's k-gram hashes. Docs shorter
-    than k get zero shingles. This is the hot kernel feeding MinHash; it
-    avoids per-document numpy-call overhead by hashing the concatenated
-    byte blob once and invalidating windows that straddle doc boundaries.
+    hashes[offsets[i]:offsets[i+1]] are doc i's k-gram hashes, each equal
+    to `rolling_shingle_hashes` of that doc. Docs shorter than k (and
+    null texts) get zero shingles. Arrow input is read in place from its
+    buffers.
     """
     import pyarrow as pa
 
     if isinstance(texts, (pa.Array, pa.ChunkedArray)):
-        data, abs_off = string_bytes_view(texts)
-        blob = data[abs_off[0] : abs_off[-1]]
-        lens = np.diff(abs_off)
-        n = lens.shape[0]
+        data, offsets = string_bytes_view(texts)
     else:
         enc = [t.encode("utf-8") if isinstance(t, str) else bytes(t) for t in texts]
-        n = len(enc)
-        lens = np.fromiter((len(b) for b in enc), count=n, dtype=np.int64)
-        blob = np.frombuffer(b"".join(enc), dtype=np.uint8)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.maximum(lens - (k - 1), 0), out=offsets[1:])
-    total = int(lens.sum())
-    if total < k:
-        return np.empty(0, dtype=np.uint32), offsets
-    all_h = rolling_shingle_hashes(blob, k)  # windows at every byte position
-    # keep only windows fully inside one doc: start position p belongs to doc i
-    # if starts[i] <= p <= starts[i] + len_i - k
-    starts = np.zeros(n, dtype=np.int64)
-    np.cumsum(lens[:-1], out=starts[1:])
-    keep = np.zeros(all_h.shape[0], dtype=bool)
-    for i in range(n):  # n = batch rows (~1k); cheap slicing loop, not per-byte
-        m = lens[i] - k + 1
-        if m > 0:
-            keep[starts[i] : starts[i] + m] = True
-    return all_h[keep], offsets
+        offsets = np.zeros(len(enc) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter((len(b) for b in enc), count=len(enc), dtype=np.int64),
+                  out=offsets[1:])
+        data = np.frombuffer(b"".join(enc), dtype=np.uint8)
+    return native.shingle_hashes(data, offsets, k)

@@ -5,17 +5,18 @@ the reference's ONNX feature extraction (reference fastdup/__init__.py:341-353,
 Signature config is fixed by BASELINE.json: char-5-gram shingles, 128
 permutations. The permutation family is multiply-shift ((a*x+b) mod 2^64,
 keep the high 32 bits) — 2-universal, deterministic from the seed, and
-computable entirely in wrapping uint64 numpy arithmetic.
+computable entirely in wrapping uint64 arithmetic.
 
-The kernel is segment-vectorized: one shingle-hash pass over the whole
-batch's concatenated bytes, then per-permutation `np.minimum.reduceat`
-over document offsets — no per-document Python loops in the hot path.
+Signing is one call of the native `minhash` kernel (fastdup_ray/native)
+over the batch's shingle hashes: per doc, each hash goes through every
+permutation once, with no per-document Python loop.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from fastdup_ray import native
 from fastdup_ray.functions.hashing import segmented_shingle_hashes
 
 _EMPTY_SENTINEL = np.uint32(0xFFFFFFFF)
@@ -41,12 +42,6 @@ class MinHasher:
         self.num_perms = num_perms
         self.a, self.b = make_permutations(num_perms, seed)
 
-    # per-chunk shingle budget: 32k shingles x 8 B stays L2-resident, so
-    # the 128 permutation passes re-read cache instead of DRAM (the naive
-    # whole-batch loop streams the full array per permutation and goes
-    # memory-bandwidth-bound with many concurrent workers)
-    _CHUNK_SHINGLES = 32_768
-
     def signatures(self, texts) -> tuple[np.ndarray, np.ndarray]:
         """Returns (sig: uint32[n, num_perms], n_shingles: int64[n]).
 
@@ -64,54 +59,15 @@ class MinHasher:
         """Same contract over a precomputed (hashes, offsets) shingle pass —
         lets the fused sign stage share ONE shingling with the set
         emission."""
-        n = len(offsets) - 1
-        n_shingles = np.diff(offsets)
-        sig = np.full((n, self.num_perms), _EMPTY_SENTINEL, dtype=np.uint32)
-        if hashes.shape[0] == 0:
-            return sig, n_shingles
-        h64 = hashes.astype(np.uint64)
-        tmp = np.empty(min(self._CHUNK_SHINGLES * 2, h64.shape[0]), dtype=np.uint64)
-        lo_doc = 0
-        while lo_doc < n:
-            # grow the doc range until the shingle budget is hit (always
-            # advancing by at least one doc, so huge docs still process)
-            hi_doc = lo_doc + 1
-            while (
-                hi_doc < n
-                and offsets[hi_doc + 1] - offsets[lo_doc] <= self._CHUNK_SHINGLES
-            ):
-                hi_doc += 1
-            seg = h64[offsets[lo_doc] : offsets[hi_doc]]
-            if seg.shape[0]:
-                rel = offsets[lo_doc : hi_doc + 1] - offsets[lo_doc]
-                docs_ne = np.nonzero(np.diff(rel) > 0)[0]
-                starts = rel[:-1][docs_ne]
-                rows = lo_doc + docs_ne
-                # a single doc can exceed the chunk budget (web pages > 64 KB
-                # are routine); size the scratch to the actual segment
-                if seg.shape[0] > tmp.shape[0]:
-                    tmp = np.empty(seg.shape[0], dtype=np.uint64)
-                buf = tmp[: seg.shape[0]]
-                with np.errstate(over="ignore"):
-                    for p in range(self.num_perms):
-                        np.multiply(seg, self.a[p], out=buf)
-                        np.add(buf, self.b[p], out=buf)
-                        # x >> 32 is monotonic, so min(v) >> 32 == min(v >> 32):
-                        # reduce in uint64 and shift the tiny per-doc result —
-                        # two fewer full passes (shift + astype) per permutation
-                        sig[rows, p] = (
-                            np.minimum.reduceat(buf, starts) >> np.uint64(32)
-                        ).astype(np.uint32)
-            lo_doc = hi_doc
-        return sig, n_shingles
+        return native.minhash(hashes, offsets, self.a, self.b), np.diff(offsets)
 
 
 class OnePermMinHasher:
     """One-permutation MinHash with rotation densification — the sign-stage
     scale path (``DedupConfig(signer="oph")``).
 
-    Classic K-permutation MinHash makes K full passes over every shingle
-    hash (the dominant per-doc cost at corpus scale). OPH instead makes
+    Classic K-permutation MinHash evaluates K permutations of every
+    shingle hash (the dominant per-doc cost at corpus scale). OPH instead makes
     ONE pass: each shingle hash is assigned to bin ``top log2(K) bits``,
     and the slot value is the minimum of an odd-multiply remix of the
     hashes landing in that bin (a fixed bijection of the hash space, so

@@ -258,32 +258,20 @@ def hierarchical_components(docs, components, config: DedupConfig | None = None,
                          rename={"node": "lnode"})
 
     # every component gets a cluster: clustered ones take their CC label,
-    # singletons map to themselves (left join + coalesce)
-    joined = hash_join(
+    # singletons map to themselves (left join + fill_null)
+    clusters = hash_join(
         exemplar_ids,
         labels,
-        on="component_id", right_on="lnode", num_partitions=cfg.num_partitions,
+        on="component_id", right_on="lnode", join_type="left_outer",
+        num_partitions=cfg.num_partitions,
     ).map_batches(
         lambda b: pa.table(
             {
                 "component_id": b["component_id"].cast(pa.int64()),
-                "cluster_id": b["label"].cast(pa.int64()),
+                "cluster_id": pc.fill_null(b["label"].cast(pa.int64()),
+                                           b["component_id"].cast(pa.int64())),
             }
         ),
         batch_format="pyarrow",
     )
-    from fastdup_ray.relational.ops import cogroup_anti_join
-
-    singletons = cogroup_anti_join(
-        exemplar_ids, labels, on="component_id", right_on="lnode",
-        num_parts=cfg.num_partitions,
-    ).map_batches(
-        lambda b: pa.table(
-            {
-                "component_id": b["component_id"].cast(pa.int64()),
-                "cluster_id": b["component_id"].cast(pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-    return joined.union(singletons), comp_edges
+    return clusters, comp_edges

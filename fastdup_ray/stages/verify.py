@@ -4,9 +4,11 @@ The reference's engine computes true cosine distance for every candidate
 pair and writes `similarity.csv` (from,to,distance, RUN.md:43-55). Here
 `distance` is the exact Jaccard similarity of the two docs' char-k-gram
 shingle sets (the precomputed sorted uint32 sets `SignStage` emits, see
-stages/shingles.py), scored by a vectorized sorted-array intersection —
+stages/shingles.py), scored by the native `intersect_counts` kernel
+(fastdup_ray/native), a merge of the two sorted sets of every pair —
 exact because a 128-perm MinHash estimate has ~+-0.02 noise right at
-the 0.96 component threshold.
+the 0.96 component threshold. Every pair goes through the merge, equal
+sets included.
 
 Only pair endpoints are indexed. Their packed sets are hash-sharded by
 doc_id (the exchange's avalanche hash) into S = ceil(payload bytes /
@@ -27,8 +29,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from fastdup_ray import native
 from fastdup_ray.config import DedupConfig
-from fastdup_ray.functions.hashing import mix64
 from fastdup_ray.relational.ops import (
     _as_arrow,
     _part_ids,
@@ -56,30 +58,25 @@ class _SetIndex:
     (reordering 10^8 values costs more than one extra indirection)."""
 
     def __init__(self, ids_sorted: np.ndarray, perm: np.ndarray,
-                 offsets: np.ndarray, values: np.ndarray, hashes: np.ndarray):
+                 offsets: np.ndarray, values: np.ndarray):
         self.ids = ids_sorted
         self.perm = perm
         self.offsets = offsets
         self.values = values
-        # per-doc uint64 fingerprint of the set (ingest order, like
-        # offsets; see _set_fingerprints): equal sets have equal
-        # fingerprints, so equal-set pairs can short-circuit to J=1.0
-        self.hashes = hashes
 
     def lookup(self, doc_ids: np.ndarray):
-        """(start, end, set_hash) per requested doc (end=start, hash=0 if
-        absent)."""
+        """(start, end) of each requested doc's set in `values`
+        (end = start = 0 if absent)."""
         if self.ids.shape[0] == 0:
             z = np.zeros(doc_ids.shape[0], dtype=np.int64)
-            return z, z, z.astype(np.uint64)
+            return z, z
         pos = np.searchsorted(self.ids, doc_ids)
         pos = np.clip(pos, 0, self.ids.shape[0] - 1)
         found = self.ids[pos] == doc_ids
         row = self.perm[pos]
         start = np.where(found, self.offsets[row], 0)
         end = np.where(found, self.offsets[row + 1], 0)
-        h = np.where(found, self.hashes[row], np.uint64(0))
-        return start, end, h
+        return start, end
 
 
 def _binary_column_flat(col) -> tuple[np.ndarray, np.ndarray]:
@@ -99,19 +96,6 @@ def _binary_column_flat(col) -> tuple[np.ndarray, np.ndarray]:
     return values, ((byte_offs.astype(np.int64) - start) // 4)
 
 
-def _set_fingerprints(values: np.ndarray, offs: np.ndarray) -> np.ndarray:
-    """Per-doc uint64 sum of mix64(value) over each range
-    values[offs[i]:offs[i+1]] (0 for an empty range). Equal sets give
-    equal fingerprints; distinct sets that collide are caught by
-    _confirm_equal_ranges, which compares every candidate byte for byte."""
-    lens = np.diff(offs)
-    fp = np.zeros(lens.shape[0], dtype=np.uint64)
-    nonempty = lens > 0
-    if nonempty.any():
-        fp[nonempty] = np.add.reduceat(mix64(values), offs[:-1][nonempty])
-    return fp
-
-
 def _shard_of(doc_ids: np.ndarray, num_shards: int) -> np.ndarray:
     """Index shard of each doc: the exchange's hash partition of doc_id,
     so `_split_blocks(..., ["doc_id"], S)` puts each set in its shard."""
@@ -124,19 +108,16 @@ def _build_shard(*tables: pa.Table) -> _SetIndex:
     ids = [np.empty(0, np.int64)]
     lens = [np.empty(0, np.int64)]
     vals = [np.empty(0, np.uint32)]
-    fps = [np.empty(0, np.uint64)]
     for t in tables:
         values, offs = _binary_column_flat(t["sh_bin"])
         ids.append(t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64))
         lens.append(np.diff(offs))
         vals.append(values)
-        fps.append(_set_fingerprints(values, offs))
     ids = np.concatenate(ids)
     order = np.argsort(ids, kind="stable")
     off = np.zeros(ids.shape[0] + 1, dtype=np.int64)
     np.cumsum(np.concatenate(lens), out=off[1:])
-    return _SetIndex(ids[order], order, off, np.concatenate(vals),
-                     np.concatenate(fps))
+    return _SetIndex(ids[order], order, off, np.concatenate(vals))
 
 
 def _build_index(packed: list, payload_bytes: int) -> list:
@@ -156,111 +137,14 @@ def _build_index(packed: list, payload_bytes: int) -> list:
     return [build.remote(*p) for p in parts]
 
 
-def _gather_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Concatenated index array [starts[0]..starts[0]+lens[0], starts[1]..] —
-    the vectorized 'slice and concat' gather."""
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    cum = np.cumsum(lens)
-    return (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(cum - lens, lens)
-        + np.repeat(starts, lens)
-    )
-
-
-# Per-subchunk gather budget. Deliberately small (~2 MB of uint64 keys):
-# the scratch arrays are then served from the malloc arena and REUSED
-# across subchunks instead of being mmap'd fresh and munmap'd on free —
-# repeated multi-MB fresh allocations pay the OS page-fault (first-touch)
-# cost on every batch, which dominates the kernel when many tasks
-# allocate concurrently. Same total work; better cache locality too.
-_EXACT_CHUNK_ELEMS = 256_000
-
-
-def _confirm_equal_ranges(vals_a, sa, vals_b, sb, lens) -> np.ndarray:
-    """Vectorized memcmp of aligned equal-length ranges:
-    out[i] = (vals_a[sa[i]:sa[i]+lens[i]] == vals_b[sb[i]:sb[i]+lens[i]]).
-
-    Used to CONFIRM the equal-fingerprint short-circuit with real bytes —
-    the additive set fingerprint is not adversarially collision-resistant, so
-    crafted distinct documents in an untrusted web corpus could otherwise
-    be scored as exact duplicates (ADVICE r2). Cost is O(matched bytes)
-    only for near-certain duplicates; chunked like _exact_scores_block so
-    scratch stays arena-resident.
-    """
-    n = lens.shape[0]
-    out = np.zeros(n, dtype=bool)
-    lo = 0
-    while lo < n:
-        hi = lo + 1
-        budget = int(lens[lo])
-        while hi < n and budget + lens[hi] <= _EXACT_CHUNK_ELEMS:
-            budget += int(lens[hi])
-            hi += 1
-        ln = lens[lo:hi]
-        ia = _gather_ranges(sa[lo:hi], ln)
-        ib = _gather_ranges(sb[lo:hi], ln)
-        neq = vals_a[ia] != vals_b[ib]
-        m = hi - lo
-        if neq.any():
-            seg = np.repeat(np.arange(m, dtype=np.int64), ln)
-            out[lo:hi] = np.bincount(seg[neq], minlength=m) == 0
-        else:
-            out[lo:hi] = True
-        lo = hi
-    return out
-
-
 def _exact_scores_block(vals_a, sa, ea, vals_b, sb, eb, out, out_rows) -> None:
-    """Vectorized exact Jaccard for aligned (sa,ea)x(sb,eb) range pairs.
-
-    Both sides are sorted-unique uint32 sets. Key trick: prefix each
-    element with its pair index ((i << 32) | value) — each side's keyed
-    concatenation is then GLOBALLY sorted, so one stable sort of the two
-    runs (a linear timsort merge) puts every shared element next to its
-    twin, and one segment add.reduceat of the adjacent-equal mask counts
-    every pairwise intersection with zero per-pair Python. Sub-chunked to
-    bound gather memory.
-    """
-    lens_a = ea - sa
-    lens_b = eb - sb
-    n = lens_a.shape[0]
-    lo = 0
-    tot = lens_a + lens_b
-    while lo < n:
-        hi = lo + 1
-        budget = int(tot[lo])
-        while hi < n and budget + tot[hi] <= _EXACT_CHUNK_ELEMS:
-            budget += int(tot[hi])
-            hi += 1
-        la = lens_a[lo:hi]
-        lb = lens_b[lo:hi]
-        m = hi - lo
-        seg = np.arange(m, dtype=np.uint64) << np.uint64(32)
-        na = int(la.sum())
-        keyed = np.empty(budget, dtype=np.uint64)
-        keyed[:na] = vals_a[_gather_ranges(sa[lo:hi], la)]
-        keyed[:na] |= np.repeat(seg, la)
-        keyed[na:] = vals_b[_gather_ranges(sb[lo:hi], lb)]
-        keyed[na:] |= np.repeat(seg, lb)
-        keyed.sort(kind="stable")
-        # sets are unique per side, so an adjacent equal key is one shared
-        # element; keys of different pairs never compare equal
-        eq = np.zeros(budget, dtype=np.uint8)
-        np.equal(keyed[1:], keyed[:-1], out=eq[:-1].view(bool))
-        t = tot[lo:hi]
-        nonempty = t > 0
-        inter = np.zeros(m, dtype=np.int64)
-        if nonempty.any():
-            starts = np.cumsum(t) - t
-            inter[nonempty] = np.add.reduceat(eq, starts[nonempty], dtype=np.int32)
-        union = la + lb - inter
-        res = np.zeros(m, dtype=np.float64)
-        np.divide(inter, union, out=res, where=union > 0)
-        out[out_rows[lo:hi]] = res
-        lo = hi
+    """out[out_rows] = exact Jaccard of the aligned sorted-unique uint32
+    ranges vals_a[sa:ea] and vals_b[sb:eb] (0 when both are empty)."""
+    inter = native.intersect_counts(vals_a, sa, ea, vals_b, sb, eb)
+    union = (ea - sa) + (eb - sb) - inter
+    res = np.zeros(inter.shape[0], dtype=np.float64)
+    np.divide(inter, union, out=res, where=union > 0)
+    out[out_rows] = res
 
 
 def _fetch(ref) -> _SetIndex:
@@ -274,24 +158,8 @@ def _fetch(ref) -> _SetIndex:
 def _score_cell(idx_s: _SetIndex, idx_d: _SetIndex, src, dst, rows, dist) -> None:
     """dist[rows] = exact Jaccard of (src, dst)[rows], every src in idx_s
     and every dst in idx_d (or in neither)."""
-    sa, ea, ha = idx_s.lookup(src[rows])
-    sb, eb, hb = idx_d.lookup(dst[rows])
-    # equal set fingerprint + equal nonzero length selects CANDIDATE
-    # exact-dup endpoints; a real byte comparison confirms before
-    # assigning J=1.0 (the fingerprint is not adversarially
-    # collision-resistant — crafted collisions in an untrusted corpus
-    # must not merge components). Unconfirmed rows fall through to the
-    # full intersection.
-    same = (ha == hb) & (ea - sa == eb - sb) & (ea > sa)
-    if same.any():
-        cand = np.flatnonzero(same)
-        conf = _confirm_equal_ranges(
-            idx_s.values, sa[cand], idx_d.values, sb[cand], ea[cand] - sa[cand]
-        )
-        same[cand[~conf]] = False
-        dist[rows[same]] = 1.0
-        rest = ~same
-        rows, sa, ea, sb, eb = rows[rest], sa[rest], ea[rest], sb[rest], eb[rest]
+    sa, ea = idx_s.lookup(src[rows])
+    sb, eb = idx_d.lookup(dst[rows])
     _exact_scores_block(idx_s.values, sa, ea, idx_d.values, sb, eb, dist, rows)
 
 

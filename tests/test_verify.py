@@ -89,8 +89,7 @@ def test_payload_sizing_is_exact_under_skewed_block_order(ray_session, monkeypat
 def _verify_cases(draw):
     """Docs with small sets over a 64-value universe (empty sets, and
     copies of other docs' sets, included), pairs among them and ids that
-    have no set row, a target shard count 1-8 and whether every set
-    fingerprint is forced to collide."""
+    have no set row, and a target shard count 1-8."""
     ids = draw(st.lists(st.integers(-2**62, 2**62), min_size=1, max_size=30,
                         unique=True))
     sets = [sorted(set(draw(st.lists(st.integers(0, 63), max_size=16))))
@@ -103,8 +102,7 @@ def _verify_cases(draw):
     ends = st.sampled_from(ids + missing)
     pairs = draw(st.lists(st.tuples(ends, ends), min_size=1, max_size=60))
     return {"ids": ids, "sets": sets, "pairs": pairs,
-            "blocks": draw(st.integers(1, 3)), "shards": draw(st.integers(1, 8)),
-            "collide": draw(st.booleans())}
+            "blocks": draw(st.integers(1, 3)), "shards": draw(st.integers(1, 8))}
 
 
 @settings(max_examples=20, deadline=None)
@@ -112,13 +110,13 @@ def _verify_cases(draw):
     "ids": [10, 11, 12, 13, 14, 15],
     "sets": [[1, 2, 3], [1, 2, 4], [1, 2, 3], [], [5, 6, 7, 8], [5, 6, 7, 9]],
     "pairs": [(10, 11), (10, 12), (13, 13), (13, 99), (99, 98), (14, 15), (15, 10)],
-    "blocks": 2, "shards": 3, "collide": True,
+    "blocks": 2, "shards": 3,
 })
 @given(case=_verify_cases())
 def test_verify_pairs_equals_set_jaccard(ray_session, case):
     """verify_pairs == Python set Jaccard for any shard count: empty sets,
     endpoints without a set row (J=0), identical sets (J=1) and distinct
-    equal-length sets whose fingerprints collide (exact J, not 1)."""
+    equal-length sets (exact J, not 1)."""
     from fastdup_ray.stages import verify
 
     ids, sets, pairs = case["ids"], case["sets"], case["pairs"]
@@ -136,15 +134,6 @@ def test_verify_pairs_equals_set_jaccard(ray_session, case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "_SHARD_BYTES", shard_bytes)
         built = _count_shards(mp, verify)
-        if case["collide"]:
-            build = verify._build_shard
-
-            def colliding_build(*tables):
-                idx = build(*tables)
-                idx.hashes = np.full(idx.hashes.shape[0], 7, np.uint64)
-                return idx
-
-            mp.setattr(verify, "_build_shard", colliding_build)
         got = verify.verify_pairs(pairs_ds, sigs, None).to_pandas()
 
     assert built == [max(1, -(-payload // shard_bytes))]
@@ -193,33 +182,31 @@ def test_scoring_holds_at_most_two_shards(ray_session, monkeypatch):
         _jaccard(by_id[a], by_id[b]) for a, b in zip(src.tolist(), dst.tolist())]
 
 
-def test_confirm_equal_ranges_rejects_hash_collisions():
-    """The equal-hash verify short-circuit must confirm with real bytes:
-    distinct sets that (hypothetically) collide on the 64-bit set hash
-    may not be scored 1.0."""
-    from fastdup_ray.stages.verify import _confirm_equal_ranges
+def test_exact_scores_block_scores_equal_length_distinct_sets():
+    """Distinct sets of equal length score their exact Jaccard, not 1.0,
+    also when one differing element hides among thousands of equal
+    ranges."""
+    from fastdup_ray.stages.verify import _exact_scores_block
 
     vals_a = np.array([1, 2, 3, 7, 8, 9], np.uint32)
     vals_b = np.array([1, 2, 3, 7, 8, 10], np.uint32)
-    sa = np.array([0, 3], np.int64)
-    sb = np.array([0, 3], np.int64)
-    lens = np.array([3, 3], np.int64)
-    conf = _confirm_equal_ranges(vals_a, sa, vals_b, sb, lens)
-    assert conf.tolist() == [True, False]
-    # chunk boundary: many segments forcing multiple chunks
+    s = np.array([0, 3], np.int64)
+    out = np.zeros(2)
+    _exact_scores_block(vals_a, s, s + 3, vals_b, s, s + 3, out, np.arange(2))
+    assert out.tolist() == [1.0, 0.5]
     n = 5000
     va = np.arange(n * 4, dtype=np.uint32)
     vb = va.copy()
-    vb[7] += 1  # corrupt one element of segment 1
+    vb[7] += 1  # segment 1 becomes {4, 5, 6, 8}: J = 3/5
     s = np.arange(n, dtype=np.int64) * 4
-    ln = np.full(n, 4, np.int64)
-    conf = _confirm_equal_ranges(va, s, vb, s, ln)
-    assert not conf[1] and conf.sum() == n - 1
+    out = np.zeros(n)
+    _exact_scores_block(va, s, s + 4, vb, s, s + 4, out, np.arange(n))
+    assert out[1] == 3 / 5 and (np.delete(out, 1) == 1.0).all()
 
 
 def test_verify_endpoints_never_materialize_on_driver(ray_session):
     """verify_pairs must compute the endpoint set via task-side tree
-    reduce; equal-set pairs still score exactly 1.0 (byte-confirmed) and
+    reduce; equal-set pairs score exactly 1.0 and
     near-dup pairs keep their exact Jaccard."""
     from fastdup_ray.stages.signatures import SignStage
     from fastdup_ray.stages.verify import verify_pairs

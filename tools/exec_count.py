@@ -13,7 +13,13 @@ operation `--ops` times with two counters installed in this process:
 - every `RemoteFunction` submission made outside a Ray Data executor
   thread (the plain tasks the program starts itself, plus the metadata
   tasks of `ray.data.from_arrow_refs`, marked "via ray.data"), by call
-  site; the executor threads' own map tasks are summed separately.
+  site; the executor threads' own map tasks are summed separately;
+- the blocks that the operation's Parquet reads produce, and the
+  blocks each execution outputs. The plain tasks follow the stages'
+  block counts, and a stage map can cut the same input into a varying
+  number of blocks from run to run, so each operation's task count is
+  printed beside its read's blocks and every execution beside its
+  output blocks.
 
 Run from the repo root:
 
@@ -77,6 +83,15 @@ def op_chain(dag) -> str:
     return " <- ".join(names)
 
 
+def read_ops(dag) -> list:
+    """The read operators feeding `dag` (their metrics count the blocks
+    they produced once the execution has run)."""
+    ops = [dag] if dag.name.startswith("Read") else []
+    for dep in dag.input_dependencies:
+        ops += read_ops(dep)
+    return ops
+
+
 class Counters:
     """Counts executions and task submissions while installed."""
 
@@ -85,9 +100,10 @@ class Counters:
         self.reset()
 
     def reset(self):
-        self.executions: list[tuple[str, str]] = []
+        self.executions: list[list] = []  # [site, operators, output blocks]
         self.tasks: collections.Counter = collections.Counter()
         self.executor_tasks = 0
+        self.read_ops: list = []
 
     def install(self):
         from ray.data._internal.execution.streaming_executor import StreamingExecutor
@@ -99,9 +115,21 @@ class Counters:
 
         def execute(executor, dag, *args, **kwargs):
             site = call_site(traceback.extract_stack())
+            entry = [site, op_chain(dag), 0]
             with counters.lock:
-                counters.executions.append((site, op_chain(dag)))
-            return orig_execute(executor, dag, *args, **kwargs)
+                counters.executions.append(entry)
+                counters.read_ops += read_ops(dag)
+            out = orig_execute(executor, dag, *args, **kwargs)
+            get_next = out.get_next
+
+            def counting_get_next(*a, **k):
+                bundle = get_next(*a, **k)
+                with counters.lock:
+                    entry[2] += len(bundle.blocks)
+                return bundle
+
+            out.get_next = counting_get_next
+            return out
 
         def remote(fn, *args, **kwargs):
             if isinstance(threading.current_thread(), StreamingExecutor):
@@ -125,11 +153,13 @@ class Counters:
     def snapshot(self) -> dict:
         return {
             "executions": len(self.executions),
-            "execution_sites": [{"site": s, "operators": o}
-                                for s, o in self.executions],
+            "execution_sites": [{"site": s, "operators": o, "blocks": b}
+                                for s, o, b in self.executions],
             "plain_tasks": sum(self.tasks.values()),
             "plain_task_sites": dict(self.tasks.most_common()),
             "executor_tasks": self.executor_tasks,
+            "read_blocks": sum(op.metrics.num_task_outputs_generated
+                               for op in self.read_ops),
         }
 
 
@@ -241,11 +271,13 @@ def main() -> int:
     for i, snap in enumerate(ops):
         print(f"== {args.workload} seed {args.seed} operation {i}: "
               f"{snap['executions']} Ray Data executions, "
-              f"{snap['plain_tasks']} plain task submissions, "
+              f"{snap['plain_tasks']} plain task submissions at "
+              f"{snap['read_blocks']} read blocks, "
               f"{snap['executor_tasks']} executor map tasks, "
               f"check {'ok' if snap['ok'] else 'FAILED'}")
         for e in snap["execution_sites"]:
-            print(f"  exec  {e['site']}\n        {e['operators']}")
+            print(f"  exec  {e['site']} -> {e['blocks']} blocks\n"
+                  f"        {e['operators']}")
         for site, n in snap["plain_task_sites"].items():
             print(f"  task  {n:4d}  {site}")
     if args.json:

@@ -1,17 +1,13 @@
-"""Kernel-layer A/B: the five sign/verify kernels of a git ref vs HEAD.
+"""Kernel-layer A/B: the four sign/verify kernels of a git ref vs HEAD.
 
 Exports <ref> with `git archive` into a temporary directory, then runs the
-same five kernels from that tree and from this checkout, each in its own
+same four kernels from that tree and from this checkout, each in its own
 single-core Python process, on the skew_longdocs pages the benchmark
 caches (perfbench/_work/cache/<version>/skew-s<seed>/full):
 
   hash64      functions.hashing.hash64_segmented over every whitespace token
   simhash     functions.simhash.simhash64 over every doc text
   sign        stages.signatures.SignStage (default config) over the docs
-  fingerprint the verify index's per-doc set fingerprint over the sign
-              stage's shingle sets (compared as the partition of docs into
-              equal-fingerprint classes: the values themselves are private
-              to the index and may change between versions)
   verify      stages.verify._exact_scores_block, each doc against its next
               8 docs (the benchmark kernel table's pair pattern)
 
@@ -39,7 +35,7 @@ import time
 from statistics import median
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-KERNELS = ("hash64", "simhash", "sign", "fingerprint", "verify")
+KERNELS = ("hash64", "simhash", "sign", "verify")
 
 
 def _timed(fn, repeats: int):
@@ -51,23 +47,8 @@ def _timed(fn, repeats: int):
     return median(times), out
 
 
-def _fingerprints(values, offs):
-    """The verify index's per-doc set fingerprint, for either version of
-    stages/verify.py."""
-    import numpy as np
-
-    from fastdup_ray.stages import verify
-
-    if hasattr(verify, "_set_fingerprints"):
-        return verify._set_fingerprints(values, offs)
-    # older trees hash the packed set bytes inline in build_shard
-    from fastdup_ray.functions.hashing import hash64_segmented
-
-    return hash64_segmented(values.view(np.uint8), offs * 4)
-
-
 def run_side(root: str, pages_dir: str, out: str, repeats: int) -> None:
-    """Child process: run the five kernels from `root`'s fastdup_ray and
+    """Child process: run the four kernels from `root`'s fastdup_ray and
     save outputs (npz) and timings (json) under the `out` prefix."""
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
@@ -104,17 +85,10 @@ def run_side(root: str, pages_dir: str, out: str, repeats: int) -> None:
                             res, np.arange(i.size))
         return res
 
-    def fingerprint_classes():
-        # canonical label: the first doc with the same fingerprint
-        _, first, inverse = np.unique(_fingerprints(val, off - off[0]),
-                                      return_index=True, return_inverse=True)
-        return first[inverse]
-
     runs = {
         "hash64": (tok_off.size - 1, lambda: hash64_segmented(tok_data, tok_off)),
         "simhash": (len(texts), lambda: simhash64(texts)),
         "sign": (docs.num_rows, lambda: sign(docs)),
-        "fingerprint": (n, fingerprint_classes),
         "verify": (i.size, verify),
     }
     rates, outputs = {}, {}
