@@ -105,17 +105,9 @@ def run_bench() -> dict:
     # (stages still materialize). Default keeps checkpoints on — the
     # honest e2e wall.
     ckpt = () if os.environ.get("BENCH_NO_CHECKPOINT") else None
-    # BENCH_SIGNER picks the sign kernel; the bench default is
-    # one-permutation hashing (1 shingle pass instead of 128 — same
-    # 128-wide signature family over the same char-5-gram shingles).
-    # Recall gates: e2e OPH recall >=0.99 vs the exact-Jaccard oracle is
-    # pytest-pinned, and at this corpus (2M pages) OPH clusters 228,253
-    # docs vs classic minhash's 230,037 (99.2%) — precision is 1.0 either
-    # way because the verify stage rescores candidates exactly.
-    # BENCH_SIGNER=minhash restores the classic 128-permutation kernel.
-    cfg = DedupConfig(num_partitions=min(64, ncpu),
-                      checkpoint_stages=ckpt,
-                      signer=os.environ.get("BENCH_SIGNER", "oph"))
+    # the library's one signer, classic 128-permutation MinHash, as in
+    # the perfbench gate
+    cfg = DedupConfig(num_partitions=min(64, ncpu), checkpoint_stages=ckpt)
     pipe = NearDupPipeline(cfg, work_dir=work_dir)
 
     probe = wait_for_healthy_host(

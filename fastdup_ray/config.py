@@ -9,8 +9,8 @@ Defaults mirror the reference's thresholds where a text-native analog
 exists: similarity threshold 0.9 (reference __init__.py:481), component
 threshold 0.96 ("ccthreshold", fastdup_controller.py:1519), outlier
 percentile 0.05 (reference __init__.py:482), and the signature config
-mandated by BASELINE.json: char-5-gram shingles, 128 permutations,
-16 bands x 8 rows.
+mandated by BASELINE.json: classic MinHash over char-5-gram shingles,
+128 permutations, 16 bands x 8 rows.
 """
 
 from __future__ import annotations
@@ -29,11 +29,6 @@ class DedupConfig:
     num_bands: int = 16            # LSH bands
     rows_per_band: int = 8         # minhash rows per band (num_bands*rows_per_band == num_perms)
     seed: int = 42                 # seeds the permutation matrix (deterministic)
-    signer: str = "minhash"        # "minhash": classic K-permutation (BASELINE
-                                   # config, the default); "oph": one-permutation
-                                   # hashing w/ rotation densification — ONE pass
-                                   # over the shingles instead of K, the sign-stage
-                                   # scale path (same banding/verify downstream)
     hash_version: int = 2          # doc_id/string-hash algorithm version; folded
                                    # into every stage fingerprint so checkpoints
                                    # from a different hash can never be reused
@@ -57,20 +52,10 @@ class DedupConfig:
 
     # --- exact-substring stage (fingerprint-based; SURVEY.md G10) ---
     substring_len: int = 256       # minimum shared-run length targeted
-    substring_sample_mod: int = 16 # keep 1/mod of rolling fingerprints (sampled mode)
-    # anchor selection: "winnow" (default; rightmost-min per
-    # (len-window+1)-hash window — ZERO misses for runs >= substring_len
-    # provided every selected occurrence per doc per fingerprint is
-    # emitted (stages/substring._emit_anchor_pairs
-    # keep_all_occurrences=True); the only truncation left is the
-    # max_bucket_pairs skew cap. Density ~2/(w+1), SPARSER than
-    # sampled's 1/mod at the defaults (w=193 -> ~1% vs 6.25%) and
-    # measurably faster at the bench (BASELINE.md r5: winnow beat the
-    # sampled catalog query 3.0s vs 5.0s at sf0.1). "sampled" (1/mod
-    # density, miss prob (1-1/mod)^(run-window) per shared run) remains
-    # for anchor-budget control at very small substring_len, where the
-    # winnow window shrinks and its density approaches 1.
-    substring_anchor_mode: str = "winnow"
+    # anchors are the rightmost-min of every (substring_len - 64 + 1)-hash
+    # winnow window over the 64-byte rolling hashes: every shared run of
+    # >= substring_len bytes shares an anchor (stages/substring.py); the
+    # max_bucket_pairs skew cap is the only truncation
 
     # --- simhash ---
     simhash_hamming: int = 3       # max hamming distance for simhash near-dup pairs

@@ -19,8 +19,6 @@ import numpy as np
 from fastdup_ray import native
 from fastdup_ray.functions.hashing import segmented_shingle_hashes
 
-_EMPTY_SENTINEL = np.uint32(0xFFFFFFFF)
-
 
 def make_permutations(num_perms: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """(a, b) uint64 arrays for the multiply-shift family, seeded."""
@@ -60,110 +58,6 @@ class MinHasher:
         lets the fused sign stage share ONE shingling with the set
         emission."""
         return native.minhash(hashes, offsets, self.a, self.b), np.diff(offsets)
-
-
-class OnePermMinHasher:
-    """One-permutation MinHash with rotation densification — the sign-stage
-    scale path (``DedupConfig(signer="oph")``).
-
-    Classic K-permutation MinHash evaluates K permutations of every
-    shingle hash (the dominant per-doc cost at corpus scale). OPH instead makes
-    ONE pass: each shingle hash is assigned to bin ``top log2(K) bits``,
-    and the slot value is the minimum of an odd-multiply remix of the
-    hashes landing in that bin (a fixed bijection of the hash space, so
-    the bin minimum is a valid minwise sample). Empty bins borrow the
-    value of the nearest filled bin to their circular left (densification
-    by rotation), preserving P[slot_i(A)=slot_i(B)] ~ J(A,B), which is
-    all LSH banding needs. Slight collision bias for very sparse docs is
-    inherent to densification and documented here.
-
-    Public references: Li, Owen, Zhang, "One Permutation Hashing"
-    (NIPS 2012); Shrivastava & Li, "Improved Densification of One
-    Permutation Hashing" (UAI 2014).
-
-    Output contract matches MinHasher.signatures: (uint32[n, K] sig,
-    int64[n] n_shingles); zero-shingle docs keep the all-ones sentinel.
-    """
-
-    def __init__(self, shingle_size: int = 5, num_perms: int = 128, seed: int = 42):
-        # num_perms=0 passes a bare `x & (x-1)` check and num_perms=1 makes
-        # bin_shift 32 (uint32 >> 32 is C-undefined in numpy) — require a
-        # power of two >= 2 explicitly
-        if num_perms < 2 or num_perms & (num_perms - 1):
-            raise ValueError("oph signer needs power-of-two num_perms >= 2")
-        self.k = shingle_size
-        self.num_perms = num_perms
-        self.seed = seed
-        # seed selects the remix bijection (odd multiplier over 2^32) the
-        # way MinHasher's seed selects its permutations — different seeds
-        # give independent minwise samples instead of silently identical
-        # signatures (ADVICE r2)
-        rng = np.random.default_rng(seed)
-        self._remix = np.uint32(int(rng.integers(0, 2**32)) | 1)
-        self.bin_shift = np.uint32(32 - int(num_perms).bit_length() + 1)
-
-    def signatures(self, texts) -> tuple[np.ndarray, np.ndarray]:
-        return self.signatures_from_hashes(
-            *segmented_shingle_hashes(texts, self.k)
-        )
-
-    def signatures_from_hashes(
-        self, hashes: np.ndarray, offsets: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        n = len(offsets) - 1
-        K = self.num_perms
-        n_shingles = np.diff(offsets)
-        sig = np.full((n, K), _EMPTY_SENTINEL, dtype=np.uint32)
-        if hashes.shape[0] == 0:
-            return sig, n_shingles
-        doc_of = np.repeat(np.arange(n, dtype=np.int64), n_shingles)
-        bins = (hashes >> self.bin_shift).astype(np.int64)
-        with np.errstate(over="ignore"):
-            vals = hashes * self._remix
-        key = doc_of * K + bins  # == flat index into sig
-        # chunked sort+reduceat+scatter-min: each slab's scratch stays
-        # L2/arena-resident (a single whole-batch argsort allocates tens
-        # of MB fresh per call — the allocation, not the comparison count,
-        # dominates under concurrent workers)
-        flat = sig.ravel()
-        CH = 32_768
-        for lo in range(0, key.shape[0], CH):
-            k = key[lo : lo + CH]
-            o = np.argsort(k, kind="stable")
-            sk = k[o]
-            sv = vals[lo : lo + CH][o]
-            runs = np.flatnonzero(np.concatenate([[True], sk[1:] != sk[:-1]]))
-            pos = sk[runs]
-            flat[pos] = np.minimum(flat[pos], np.minimum.reduceat(sv, runs))
-        self._densify(sig)
-        return sig, n_shingles
-
-    @staticmethod
-    def _densify(sig: np.ndarray) -> None:
-        """Fill empty slots from the nearest filled slot to the circular
-        left, in place. All-empty rows stay sentinel (zero-shingle docs)."""
-        n, K = sig.shape
-        filled = sig != _EMPTY_SENTINEL
-        need = ~filled
-        if not need.any():
-            return
-        ext_filled = np.concatenate([filled, filled], axis=1)
-        pos = np.where(ext_filled, np.arange(2 * K, dtype=np.int64)[None, :], -1)
-        last = np.maximum.accumulate(pos, axis=1)[:, K:]
-        ok = need & (last >= 0)
-        if ok.any():
-            ext = np.concatenate([sig, sig], axis=1)
-            borrowed = np.take_along_axis(ext, last, axis=1)
-            sig[ok] = borrowed[ok]
-
-
-def make_signer(signer: str, shingle_size: int, num_perms: int, seed: int):
-    """Signer factory for SignStage: 'minhash' (classic, default) or 'oph'."""
-    if signer == "oph":
-        return OnePermMinHasher(shingle_size, num_perms, seed)
-    if signer == "minhash":
-        return MinHasher(shingle_size, num_perms, seed)
-    raise ValueError(f"unknown signer {signer!r}")
 
 
 def estimate_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> np.ndarray:

@@ -386,6 +386,8 @@ class NearDupPipeline:
         snapshot so a loaded result's accessors behave identically.
         The loaded result can seed `run_incremental` (pass the base
         manifest fingerprint as base_token for resume-safe increments).
+        A work_dir whose manifests record a signer other than "minhash"
+        (one-permutation hashing, no longer supported) raises ValueError.
         """
         pipe = None
         tables = {}
@@ -399,9 +401,18 @@ class NearDupPipeline:
                 raise FileNotFoundError(
                     f"no committed manifest for stage {stage!r} in {work_dir}"
                 )
+            snapshot = man.get("config") or {}
+            # signatures of another signer cannot be banded or compared
+            # against this version's MinHash signatures
+            signer = snapshot.get("signer", "minhash")
+            if signer != "minhash":
+                raise ValueError(
+                    f"{work_dir} was signed with signer {signer!r}; this "
+                    f"version signs with classic MinHash only — re-run it"
+                )
             if pipe is None:
                 # from_dict ignores keys of fields this version no longer has
-                cfg = DedupConfig.from_dict(man.get("config") or {})
+                cfg = DedupConfig.from_dict(snapshot)
                 pipe = cls(cfg, work_dir=work_dir)
             tables[stage] = rd.read_parquet(
                 f"{root}/{stage}/{man['data_dir']}", filesystem=fs

@@ -615,15 +615,13 @@ def q_simhash_near_dup_pairs(sf_dir: str):
 def q_substring_dup_pairs(sf_dir: str):
     """Exact-substring dedup, SQL-oracled: pairs whose maximal shared
     byte run >= 128 (shorter than the web default — the documents
-    fixtures are small). The catalog query runs the stage with
-    substring_sample_mod=1 (an anchor at EVERY window, no sampling), so
-    its pair set is exactly "docs sharing a >=128-byte run" — which SQL
-    expresses as sharing any 128-char substring (fixtures are ASCII, so
-    bytes == chars). The production sampled mode (mod=16, documented
-    miss probability) keeps its own pytest oracle."""
+    fixtures are small). The stage's winnow anchors guarantee that every
+    shared >=128-byte run is found, so its pair set is exactly "docs
+    sharing a >=128-byte run" — which SQL expresses as sharing any
+    128-char substring (fixtures are ASCII, so bytes == chars)."""
     from fastdup_ray.stages.substring import substring_pairs
 
-    cfg = DedupConfig(substring_len=128, substring_sample_mod=1)
+    cfg = DedupConfig(substring_len=128)
     pairs = substring_pairs(_t(sf_dir, "documents", ["doc_id", "text"]), cfg)
     return pairs.select_columns(["src", "dst"])
 
@@ -639,18 +637,17 @@ FROM g a JOIN g b ON a.gram = b.gram AND a.doc_id < b.doc_id
 
 
 def q_substring_dup_pairs_winnow(sf_dir: str):
-    """The same exact pair set as `substring_dup_pairs`, produced by the
-    winnowing anchor mode instead of anchor-at-every-byte: rightmost-min
-    selection over (len-window+1)-hash windows guarantees every shared
-    >=128-byte run shares an anchor (zero misses, because winnow mode
-    emits every selected occurrence per doc per fingerprint — up to the
-    max_bucket_pairs skew cap) at ~3% anchor density — the
-    scale-affordable suffix-array-exact path. Hash-matching the SAME
-    DuckDB oracle as the dense query IS the guarantee's end-to-end
-    proof."""
+    """The same exact pair set as `substring_dup_pairs`, by the same
+    winnow anchors: rightmost-min selection over (len-window+1)-hash
+    windows guarantees every shared >=128-byte run shares an anchor
+    (zero misses, because every selected occurrence per doc per
+    fingerprint is emitted — up to the max_bucket_pairs skew cap) at ~3%
+    anchor density — the scale-affordable suffix-array-exact path.
+    Hash-matching the DuckDB oracle of all 128-char substrings IS the
+    guarantee's end-to-end proof."""
     from fastdup_ray.stages.substring import substring_pairs
 
-    cfg = DedupConfig(substring_len=128, substring_anchor_mode="winnow")
+    cfg = DedupConfig(substring_len=128)
     pairs = substring_pairs(_t(sf_dir, "documents", ["doc_id", "text"]), cfg)
     return pairs.select_columns(["src", "dst"])
 
@@ -3380,7 +3377,9 @@ def queries():
     # minhash_components (its verify stage now scores the signature
     # table's shingle sets), and the five join-backed queries that sat
     # beyond it when every two-input op moved onto the one hash exchange
-    # and join kernel.  The rest of the window is padded with the
+    # and join kernel, and substring_dup_pairs (its code changed when the
+    # sampled anchor rule was deleted; it runs the winnow anchors, as
+    # before).  The rest of the window is padded with the
     # cheapest queries that already hold two rounds of driver evidence.
     # Rotate again next round so every query gets a driver row within two
     # rounds.  Local full-catalog sweep: tools/correctness_dryrun.py.
@@ -3408,10 +3407,11 @@ def queries():
         "pmi_collocations": q_pmi_collocations,
         "heavy_hitters": q_heavy_hitters,
         "nb_classify": q_nb_classify,
-        # --- 3 queries changed since their last driver check ---
+        # --- 4 queries changed since their last driver check ---
         "knn_lists": q_knn_lists,
         "simhash_near_dup_pairs": q_simhash_near_dup_pairs,
         "minhash_components": q_minhash_components,
+        "substring_dup_pairs": q_substring_dup_pairs,
         # --- 5 join-backed queries whose join path changed (one hash
         # exchange and one join kernel for every two-input op) ---
         "customers_without_orders": q_customers_without_orders,
@@ -3419,7 +3419,7 @@ def queries():
         "customers_without_events": q_customers_without_events,
         "outliers": q_outliers,
         "hierarchical_components": q_hierarchical_components,
-        # --- 20 cheapest already-driver-green queries (window padding) ---
+        # --- 19 cheapest already-driver-green queries (window padding) ---
         "word_repetition_stats": q_word_repetition_stats,
         "contamination_ngrams": q_contamination_ngrams,
         "source_topk": q_source_topk,
@@ -3429,7 +3429,6 @@ def queries():
         "kmeans_assign": q_kmeans_assign,
         "url_components": q_url_components,
         "kmeans_topk": q_kmeans_topk,
-        "top_docs_per_source": q_top_docs_per_source,
         "leakage_safe_split": q_leakage_safe_split,
         "dedup_survivors": q_dedup_survivors,
         "dup_size_histogram": q_dup_size_histogram,
@@ -3441,6 +3440,7 @@ def queries():
         "hll_distinct_grams": q_hll_distinct_grams,
         "ivf_probe_topk": q_ivf_probe_topk,
         # --- beyond the driver window (driver rows banked r1-r4) ---
+        "top_docs_per_source": q_top_docs_per_source,
         "doc_stats": q_doc_stats,
         "text_quality": q_text_quality,
         "bpe_token_counts": q_bpe_token_counts,
@@ -3460,7 +3460,6 @@ def queries():
         "label_score": q_label_score,
         "domain_pair_summary": q_domain_pair_summary,
         "embedding_lsh_pairs": q_embedding_lsh_pairs,
-        "substring_dup_pairs": q_substring_dup_pairs,
         "ngram_jaccard_pairs": q_ngram_jaccard_pairs,
         "embedding_dup_pairs": q_embedding_dup_pairs,
     }

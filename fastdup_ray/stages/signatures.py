@@ -16,7 +16,7 @@ import pyarrow as pa
 
 from fastdup_ray.config import DedupConfig
 from fastdup_ray.functions.hashing import segmented_shingle_hashes, to_i63
-from fastdup_ray.functions.minhash import band_buckets, make_signer
+from fastdup_ray.functions.minhash import MinHasher, band_buckets
 from fastdup_ray.functions.simhash import simhash64
 from fastdup_ray.stages.shingles import sets_array, unique_sets
 
@@ -33,7 +33,7 @@ class SignStage:
                  emit_shingles: bool = True):
         cfg = config or DedupConfig()
         self.cfg = cfg
-        self.mh = make_signer(cfg.signer, cfg.shingle_size, cfg.num_perms, cfg.seed)
+        self.mh = MinHasher(cfg.shingle_size, cfg.num_perms, cfg.seed)
         # also emit the sorted-unique shingle-set column, so the
         # exact-verify stage never re-shingles the corpus (one text pass
         # and no separate set stage)

@@ -1,4 +1,4 @@
-"""Exact-substring duplicate detection via sampled rolling fingerprints
+"""Exact-substring duplicate detection via winnowed rolling fingerprints
 (SURVEY.md G10 — the Lee et al. 2022 "Deduplicating Training Data Makes
 Language Models Better" use-case, re-expressed as shuffles instead of a
 monolithic suffix array).
@@ -7,11 +7,11 @@ A doc pair "shares a run" when a verbatim byte span of length >=
 `substring_len` appears in both. Detection:
 
 1. ANCHORS: per doc, hash every `window`-byte sliding window
-   (Karp-Rabin, vectorized) and KEEP windows whose hash % sample_mod == 0
-   (content-defined sampling — the same bytes sample the same anchors in
-   every document, so any shared run of length >= window + sample gap
-   contains a shared anchor with probability
-   1 - (1 - 1/mod)^(run_len - window) ~ 1 for the defaults).
+   (Karp-Rabin, vectorized) and keep the rightmost minimum of every
+   run of w = substring_len - window + 1 consecutive hashes (winnowing,
+   the MOSS selection rule). A shared run of >= substring_len bytes
+   holds one full window of identical hashes in both docs, so both
+   select the same anchor: no shared run is missed.
 2. BUCKET: groupby anchor fingerprint -> candidate pairs carrying the
    anchor offsets on both sides.
 3. VERIFY + EXTEND: join texts back, check the anchored windows match
@@ -39,44 +39,25 @@ _WINDOW = 64
 class AnchorStage:
     """docs batch -> (fp int64, doc_id, offset) anchor rows.
 
-    Two anchor-selection modes over the per-doc Karp-Rabin hash stream:
-
-      * ``sampled`` (default): keep positions with h % mod == 0 —
-        content-defined, density 1/mod, miss probability
-        (1 - 1/mod)^(run_len - window) per shared run (documented).
-      * ``winnow``: keep the rightmost-minimum of every sliding window
-        of ``w = substring_len - window + 1`` consecutive hashes
-        (stages/winnow.winnow_positions — the MOSS selection rule).
-        ZERO-MISS GUARANTEE: a shared byte run of length >=
-        substring_len contains >= w consecutive shared hash positions,
-        i.e. one full winnowing window whose hashes are identical in
-        both documents, so both select the same in-run anchor
-        (Schleimer/Wilkerson/Aiken SIGMOD'03 Lemma 1). For the
-        guarantee to survive pair emission, winnow mode keeps EVERY
-        selected occurrence per doc per fingerprint (see
-        `_emit_anchor_pairs(keep_all_occurrences=True)`) — the only
-        remaining truncation is the `max_bucket_pairs` skew cap on a
-        single fingerprint bucket. Density
-        ~ 2/(w+1) of positions — this is the affordable replacement
-        for the suffix-array's exactness (Lee et al. 2022) at corpus
-        scale, vs. sample_mod=1's anchor-at-every-byte blowup.
+    Keeps the rightmost minimum of every sliding window of
+    ``w = substring_len - window + 1`` consecutive Karp-Rabin hashes
+    (stages/winnow.winnow_positions). ZERO-MISS GUARANTEE: a shared byte
+    run of length >= substring_len contains >= w consecutive shared hash
+    positions, i.e. one full winnowing window whose hashes are identical
+    in both documents, so both select the same in-run anchor
+    (Schleimer/Wilkerson/Aiken SIGMOD'03 Lemma 1). For the guarantee to
+    survive pair emission, `_emit_anchor_pairs` keeps EVERY selected
+    occurrence per doc per fingerprint — the only remaining truncation
+    is the `max_bucket_pairs` skew cap on a single fingerprint bucket.
+    Density ~ 2/(w+1) of positions — the affordable replacement for the
+    suffix array's exactness (Lee et al. 2022) at corpus scale.
     """
 
-    def __init__(self, sample_mod: int = 16, window: int = _WINDOW,
-                 mode: str = "sampled", substring_len: int = 256):
-        if mode not in ("sampled", "winnow"):
-            raise ValueError(f"unknown anchor mode {mode!r}")
-        if mode == "winnow" and substring_len < window + 1:
-            raise ValueError("winnow mode needs substring_len > window")
-        self.mod = np.uint32(sample_mod)
+    def __init__(self, substring_len: int = 256, window: int = _WINDOW):
+        if substring_len < window + 1:
+            raise ValueError("substring_len must exceed the anchor window")
         self.window = window
-        self.mode = mode
         self.w_winnow = substring_len - window + 1
-
-    def _select(self, h: np.ndarray) -> np.ndarray:
-        if self.mode == "winnow":
-            return winnow_positions(h, self.w_winnow)
-        return np.nonzero(h % self.mod == 0)[0]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -88,7 +69,7 @@ class AnchorStage:
             h = rolling_shingle_hashes(data, self.window)
             if h.shape[0] == 0:
                 continue
-            sel = self._select(h)
+            sel = winnow_positions(h, self.w_winnow)
             if sel.shape[0] == 0:
                 continue
             fps.append(h[sel].astype(np.int64))
@@ -108,24 +89,20 @@ class AnchorStage:
         )
 
 
-def _emit_anchor_pairs(max_bucket: int, keep_all_occurrences: bool = False):
+def _emit_anchor_pairs(max_bucket: int):
     """Per-fingerprint bucket -> candidate (src, dst, src_off, dst_off) rows.
 
-    ``keep_all_occurrences=False`` (sampled mode): one arbitrary anchor
-    occurrence per doc per fingerprint — cheap, and the sampled mode's
-    guarantee is probabilistic anyway.
-
-    ``keep_all_occurrences=True`` (winnow mode): keep EVERY selected
-    offset per doc per fingerprint and emit all cross-doc occurrence
-    combinations. Required for the zero-miss guarantee: when the
-    winnow-selected 64-gram also occurs outside the shared run in the
-    same doc, an arbitrary single occurrence can be the out-of-run copy,
-    whose verify/extend then measures the wrong site and silently drops
-    the pair. Emitting every combination guarantees the (in-run A,
-    in-run B) combination is among the candidates; the downstream
-    per-(src, dst, diagonal) dedupe collapses the redundant ones. Only
-    the ``max_bucket`` cap (a skew guard on degenerate fingerprints)
-    can truncate — documented as the one exception to zero-miss.
+    Keeps EVERY selected offset per doc per fingerprint and emits all
+    cross-doc occurrence combinations. Required for the zero-miss
+    guarantee: when the winnow-selected 64-gram also occurs outside the
+    shared run in the same doc, an arbitrary single occurrence can be the
+    out-of-run copy, whose verify/extend then measures the wrong site and
+    silently drops the pair. Emitting every combination guarantees the
+    (in-run A, in-run B) combination is among the candidates; the
+    downstream per-(src, dst, diagonal) dedupe collapses the redundant
+    ones. Only the ``max_bucket`` cap (a skew guard on degenerate
+    fingerprints) can truncate — documented as the one exception to
+    zero-miss.
     """
 
     def emit(df: pd.DataFrame) -> pd.DataFrame:
@@ -135,14 +112,9 @@ def _emit_anchor_pairs(max_bucket: int, keep_all_occurrences: bool = False):
             return pd.DataFrame({k: np.empty(0, np.int64) for k in cols})
         out_s, out_d, out_so, out_do = [], [], [], []
         for _, g in multi.groupby("fp", sort=False):
-            # sort BEFORE any dedup/cap so both are deterministic
-            # regardless of partition row order (which offset survives
-            # sampled mode's one-per-doc rule decides which site
-            # verify/extend measures)
+            # sort BEFORE the cap so it is deterministic regardless of
+            # partition row order
             g = g.sort_values(["doc_id", "offset"], kind="stable")
-            if not keep_all_occurrences:
-                # one anchor occurrence per doc is enough in sampled mode
-                g = g.drop_duplicates("doc_id")
             g = g.head(max_bucket)
             ids = g["doc_id"].to_numpy().astype(np.int64)
             off = g["offset"].to_numpy().astype(np.int64)
@@ -197,20 +169,11 @@ def substring_pairs(docs, config: DedupConfig | None = None):
         src_docs = src_docs.map_batches(
             lambda b: b.filter(b["is_valid"]), batch_format="pyarrow"
         )
-    anchors = src_docs.map_batches(
-        AnchorStage(cfg.substring_sample_mod,
-                    mode=cfg.substring_anchor_mode,
-                    substring_len=cfg.substring_len),
-        batch_format="pyarrow",
-    )
-    cand = partitioned_groupby(
-        anchors, "fp",
-        _emit_anchor_pairs(
-            cfg.max_bucket_pairs,
-            keep_all_occurrences=(cfg.substring_anchor_mode == "winnow"),
-        ),
-        num_parts=cfg.num_partitions,
-    )
+    anchors = src_docs.map_batches(AnchorStage(cfg.substring_len),
+                                   batch_format="pyarrow")
+    cand = partitioned_groupby(anchors, "fp",
+                               _emit_anchor_pairs(cfg.max_bucket_pairs),
+                               num_parts=cfg.num_partitions)
 
     # keep ONE candidate anchor per (src, dst, diagonal) where diagonal =
     # src_off - dst_off: anchors on the same diagonal inside the same

@@ -10,7 +10,7 @@ exact because a 128-perm MinHash estimate has ~+-0.02 noise right at
 the 0.96 component threshold. Every pair goes through the merge, equal
 sets included.
 
-Only pair endpoints are indexed. Their packed sets are hash-sharded by
+Only pair endpoints are indexed. Their shingle sets are hash-sharded by
 doc_id (the exchange's avalanche hash) into S = ceil(payload bytes /
 _SHARD_BYTES) index shards, one build task per shard. Pairs are scored
 by a map over pair batches: each batch groups its pairs by
@@ -46,7 +46,7 @@ from fastdup_ray.relational.ops import (
 )
 from fastdup_ray.stages.shingles import list_column_arrays
 
-# Packed-set bytes per index shard. A scoring task holds at most two
+# Set-value bytes per index shard. A scoring task holds at most two
 # shards, so this bounds its index memory whatever the corpus size.
 _SHARD_BYTES = 256 << 20
 
@@ -79,23 +79,6 @@ class _SetIndex:
         return start, end
 
 
-def _binary_column_flat(col) -> tuple[np.ndarray, np.ndarray]:
-    """(values uint32, element offsets int64) of a binary column, straight
-    from the Arrow buffers — no per-row Python, no bytes copies."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    n = len(col)
-    if n == 0:
-        return np.empty(0, np.uint32), np.zeros(1, np.int64)
-    off_dtype = np.int32 if pa.types.is_binary(col.type) else np.int64
-    bufs = col.buffers()
-    byte_offs = np.frombuffer(bufs[1], off_dtype)[col.offset : col.offset + n + 1]
-    start = int(byte_offs[0])
-    data = np.frombuffer(bufs[2], np.uint8) if bufs[2] is not None else np.empty(0, np.uint8)
-    values = data[start : int(byte_offs[-1])].view(np.uint32)
-    return values, ((byte_offs.astype(np.int64) - start) // 4)
-
-
 def _shard_of(doc_ids: np.ndarray, num_shards: int) -> np.ndarray:
     """Index shard of each doc: the exchange's hash partition of doc_id,
     so `_split_blocks(..., ["doc_id"], S)` puts each set in its shard."""
@@ -103,16 +86,19 @@ def _shard_of(doc_ids: np.ndarray, num_shards: int) -> np.ndarray:
 
 
 def _build_shard(*tables: pa.Table) -> _SetIndex:
-    """One index shard over the packed (doc_id, sh_bin) tables given (an
-    empty shard when none are)."""
+    """One index shard over the (doc_id, shingles) tables given (an empty
+    shard when none are)."""
     ids = [np.empty(0, np.int64)]
     lens = [np.empty(0, np.int64)]
     vals = [np.empty(0, np.uint32)]
     for t in tables:
-        values, offs = _binary_column_flat(t["sh_bin"])
+        if not t.num_rows:
+            continue
+        offs, values = list_column_arrays(t["shingles"])
         ids.append(t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64))
         lens.append(np.diff(offs))
-        vals.append(values)
+        # a sliced list column's offsets start past its values' first element
+        vals.append(values[offs[0] : offs[-1]])
     ids = np.concatenate(ids)
     order = np.argsort(ids, kind="stable")
     off = np.zeros(ids.shape[0] + 1, dtype=np.int64)
@@ -120,18 +106,17 @@ def _build_shard(*tables: pa.Table) -> _SetIndex:
     return _SetIndex(ids[order], order, off, np.concatenate(vals))
 
 
-def _build_index(packed: list, payload_bytes: int) -> list:
-    """Refs of the S doc_id-sharded index shards over the packed
-    (doc_id, sh_bin) block refs `packed`, S = ceil(payload_bytes /
-    _SHARD_BYTES) >= 1, where payload_bytes is their exact `sh_bin` byte
-    sum.
+def _build_index(sets: list, payload_bytes: int) -> list:
+    """Refs of the S doc_id-sharded index shards over the (doc_id,
+    shingles) block refs `sets`, S = ceil(payload_bytes / _SHARD_BYTES)
+    >= 1, where payload_bytes is their exact set-value byte sum.
 
     Every shard is built by its own task and nothing touches the driver.
     At S = 1 one task reads every block; above, the exchange's split
     tasks route each row to its shard first."""
     num_shards = max(1, -(-payload_bytes // _SHARD_BYTES))
-    parts = [packed] if num_shards == 1 else [
-        side for side, in _split_blocks([(packed, ["doc_id"])], num_shards)
+    parts = [sets] if num_shards == 1 else [
+        side for side, in _split_blocks([(sets, ["doc_id"])], num_shards)
     ]
     build = remote_fn(_build_shard)
     return [build.remote(*p) for p in parts]
@@ -225,13 +210,13 @@ def verify_pairs(pairs, signatures, docs, config: DedupConfig | None = None,
     # and never reaches the driver.
     ends_ref = sorted_unique_ref(pairs, ["src", "dst"])
     sets = signatures if shingle_sets is None else shingle_sets
-    # one endpoint-filter + pack task per set block; the driver reads
-    # only each block's (rows, payload bytes), which size the index
-    pack = remote_fn(_pack_endpoint_sets).options(num_returns=2)
-    outs = [pack.remote(r, ends_ref) for r in nonempty_block_refs(materialized(sets))]
+    # one endpoint-filter task per set block; the driver reads only each
+    # block's (rows, payload bytes), which size the index
+    select = remote_fn(_endpoint_sets).options(num_returns=2)
+    outs = [select.remote(r, ends_ref) for r in nonempty_block_refs(materialized(sets))]
     sizes = ray.get([o[0] for o in outs])
-    packed = [o[1] for o, (rows, _) in zip(outs, sizes) if rows]
-    shard_refs = _build_index(packed, sum(nbytes for _, nbytes in sizes))
+    kept = [o[1] for o, (rows, _) in zip(outs, sizes) if rows]
+    shard_refs = _build_index(kept, sum(nbytes for _, nbytes in sizes))
     # the refs travel inside the partial, not as task arguments: Ray
     # resolves top-level ref arguments before a task starts, which would
     # fetch every shard into every scoring task
@@ -241,27 +226,12 @@ def verify_pairs(pairs, signatures, docs, config: DedupConfig | None = None,
     return pairs.map_batches(score, batch_format="pyarrow", batch_size=65536)
 
 
-def _pack_endpoint_sets(block, ends: np.ndarray):
-    """((rows, sh_bin bytes), packed (doc_id, sh_bin) table) of the rows of
-    one set block whose doc_id is in the sorted-unique `ends`."""
+def _endpoint_sets(block, ends: np.ndarray):
+    """((rows, set bytes), (doc_id, shingles) table) of the rows of one
+    set block whose doc_id is in the sorted-unique `ends`; set bytes are
+    4 x the uint32 values their lists hold."""
     t = _as_arrow(block)
     ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
     t = t.select(["doc_id", "shingles"]).filter(pa.array(in_sorted(ends, ids)))
-    packed = _pack_shingles(t)
-    nbytes = pc.sum(pc.binary_length(packed["sh_bin"])).as_py()
-    return (packed.num_rows, nbytes or 0), packed
-
-
-def _pack_shingles(batch: pa.Table) -> pa.Table:
-    """list<uint32> -> binary, built from the Arrow buffers directly
-    (offsets x4 + one data copy; no per-row Python)."""
-    off, val = list_column_arrays(batch["shingles"])
-    n = batch.num_rows
-    start = int(off[0])
-    b_off = ((off - start) * 4).astype(np.int32)
-    data = val[start : int(off[-1])].tobytes()
-    bin_arr = pa.Array.from_buffers(
-        pa.binary(), n, [None, pa.py_buffer(b_off.tobytes()), pa.py_buffer(data)]
-    )
-    return pa.table({"doc_id": batch["doc_id"], "sh_bin": bin_arr})
-
+    values = pc.sum(pc.list_value_length(t["shingles"])).as_py()
+    return (t.num_rows, 4 * (values or 0)), t

@@ -16,7 +16,7 @@ def test_config_spec_rejects_keys_that_name_no_field(tmp_path):
     spec.write_text(json.dumps({
         "input": str(tmp_path / "pages"), "work_dir": str(tmp_path / "wd"),
         "threshold": 0.85, "verify_mode": "signature", "cc_algorithm": "label",
-        "verify_broadcast_max_bytes": 0,
+        "verify_broadcast_max_bytes": 0, "signer": "oph",
     }))
     env = dict(os.environ, PYTHONPATH=REPO)
     proc = subprocess.run(
@@ -26,6 +26,6 @@ def test_config_spec_rejects_keys_that_name_no_field(tmp_path):
     )
     assert proc.returncode != 0
     assert "verify_mode" in proc.stderr and "cc_algorithm" in proc.stderr
-    assert "verify_broadcast_max_bytes" in proc.stderr
+    assert "verify_broadcast_max_bytes" in proc.stderr and "signer" in proc.stderr
     assert "threshold" not in proc.stderr.splitlines()[-1]
     assert not (tmp_path / "wd").exists()

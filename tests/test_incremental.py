@@ -6,6 +6,7 @@ import json
 import os
 
 import pyarrow as pa
+import pytest
 import ray.data as rd
 
 from fastdup_ray.config import DedupConfig
@@ -185,13 +186,31 @@ def test_load_result_ignores_config_keys_of_deleted_fields(ray_session, tmp_path
         with open(path) as fh:
             man = json.load(fh)
         man["config"].update(fused_extract_sign=True, cc_algorithm="label",
-                             verify_index_shards=16, verify_broadcast_max_bytes=0)
+                             verify_index_shards=16, verify_broadcast_max_bytes=0,
+                             signer="minhash", substring_anchor_mode="winnow",
+                             substring_sample_mod=16)
         with open(path, "w") as fh:
             json.dump(man, fh)
 
     loaded = NearDupPipeline.load_result(wd)
     assert loaded.cfg == cfg
     assert loaded.summary() == orig.summary()
+
+
+def test_load_result_rejects_work_dir_of_another_signer(tmp_path):
+    """A work_dir signed by one-permutation hashing cannot seed MinHash
+    increments: its signatures would be banded against MinHash ones, so
+    loading it must fail instead of dropping the `signer` key."""
+    from fastdup_ray.pipelines.neardup import NearDupPipeline
+
+    snapshot = dict(DedupConfig().to_dict(), signer="oph")
+    for stage in ("docs", "signatures", "pairs", "pair_scores", "components"):
+        os.makedirs(tmp_path / stage)
+        with open(tmp_path / stage / "manifest.json", "w") as fh:
+            json.dump({"config": snapshot, "data_dir": "data"}, fh)
+
+    with pytest.raises(ValueError, match="oph"):
+        NearDupPipeline.load_result(str(tmp_path))
 
 
 def test_from_dict_ignores_deleted_extract_concurrency():

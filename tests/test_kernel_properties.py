@@ -29,7 +29,7 @@ from fastdup_ray.functions.hashing import (
     rolling_shingle_hashes,
     segmented_shingle_hashes,
 )
-from fastdup_ray.functions.minhash import MinHasher, make_permutations, make_signer
+from fastdup_ray.functions.minhash import MinHasher, make_permutations
 from fastdup_ray.functions.simhash import simhash64
 from fastdup_ray.stages import verify
 from fastdup_ray.stages.signatures import SignStage, signatures_to_matrix
@@ -256,8 +256,8 @@ def test_kernel_callables_pickle_after_the_library_is_loaded(ray_session):
     assert native._lib.cache_info().currsize == 1
     assert cloudpickle.loads(cloudpickle.dumps(stage))(batch).equals(want)
 
-    packed = verify._pack_shingles(want.select(["doc_id", "shingles"]))
-    refs = verify._build_index([ray.put(packed)], packed["sh_bin"].nbytes)
+    sets = want.select(["doc_id", "shingles"])
+    refs = verify._build_index([ray.put(sets)], sets["shingles"].nbytes)
     score = functools.partial(verify._score_batch, shard_refs=refs)
     pairs = pa.table({"src": pa.array([0, 0, 1], pa.int64()),
                       "dst": pa.array([1, 3, 1], pa.int64())})
@@ -314,19 +314,18 @@ doc_text = st.text(alphabet="abcé ", max_size=40)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(doc_text, min_size=1, max_size=10),
-       st.sampled_from(["minhash", "oph"]))
-def test_sign_stage_unique_sets_equal_raw_multiset(texts, signer):
-    """SignStage signs each doc's unique shingle set; that must equal the
-    signer run over the raw shingle multiset, and n_shingles stays the
-    raw count. The stage emits exactly the docs with n_shingles > 0."""
-    cfg = DedupConfig(signer=signer)
+@given(st.lists(doc_text, min_size=1, max_size=10))
+def test_sign_stage_unique_sets_equal_raw_multiset(texts):
+    """SignStage signs each doc's unique shingle set; that must equal
+    MinHash over the raw shingle multiset, and n_shingles stays the raw
+    count. The stage emits exactly the docs with n_shingles > 0."""
+    cfg = DedupConfig()
     batch = pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
                       "text": pa.array(texts, pa.string())})
     out = SignStage(cfg)(batch)
     h, off = segmented_shingle_hashes(texts, cfg.shingle_size)
-    sig, n_sh = make_signer(signer, cfg.shingle_size, cfg.num_perms,
-                            cfg.seed).signatures_from_hashes(h, off)
+    sig, n_sh = MinHasher(cfg.shingle_size, cfg.num_perms,
+                          cfg.seed).signatures_from_hashes(h, off)
     rows = np.flatnonzero(n_sh > 0)
     ids, got = signatures_to_matrix(out)
     assert ids.tolist() == rows.tolist()

@@ -269,35 +269,6 @@ def test_emit_partition_matches_per_bucket_reference():
         assert (got["src"] < got["dst"]).all()
 
 
-def test_oph_signer_properties():
-    """OPH invariants: batch == per-doc, full densification whenever at
-    least one shingle exists, sentinel for zero-shingle docs, and
-    estimator ordering (near pair >> random pair)."""
-    from fastdup_ray.functions.minhash import OnePermMinHasher, estimate_jaccard
-
-    oph = OnePermMinHasher(5, 128, 42)
-    rng = np.random.default_rng(21)
-    words = ["tok%02d" % i for i in range(60)] + ["día", "中文词"]
-    docs = [
-        " ".join(rng.choice(words, size=int(rng.integers(1, 30))))
-        for _ in range(50)
-    ]
-    docs += ["", "abcd", "abcde", "x" * 4, "é" * 6]
-    sig, ns = oph.signatures(docs)
-    for i in range(len(docs)):
-        s1, n1 = oph.signatures([docs[i]])
-        assert (sig[i] == s1[0]).all() and ns[i] == n1[0], i
-        if ns[i] == 0:
-            assert (sig[i] == 0xFFFFFFFF).all()
-        else:
-            # rotation densification fills every slot
-            assert (sig[i] != 0xFFFFFFFF).all(), (i, docs[i])
-    a = docs[0] if len(docs[0]) > 40 else " ".join(words[:30])
-    b = a[: len(a) // 2] + "Q" + a[len(a) // 2 :]
-    s3, _ = oph.signatures([a, b, " ".join(words[30:])])
-    assert estimate_jaccard(s3[0:1], s3[1:2])[0] > estimate_jaccard(s3[0:1], s3[2:3])[0]
-
-
 def test_gram_hashes64_consistent_with_32bit_kernel():
     """The 32-bit shingle kernel is the top half of the 64-bit gram
     kernel (same poly + mix64, truncated) — segmentation included."""
@@ -348,7 +319,7 @@ def test_hll_accuracy_and_split_invariance():
 
 
 # ---------------------------------------------------------------- golden
-# Fixed outputs of the hash-v2, SimHash, MinHash/OPH and SignStage kernels,
+# Fixed outputs of the hash-v2, SimHash, MinHash and SignStage kernels,
 # captured once and pinned forever: doc_ids, signatures and fingerprints
 # are persisted in checkpoints, so a kernel rewrite must reproduce these
 # values bit for bit.
@@ -408,11 +379,7 @@ GOLDEN_HASH64 = [
 ]
 GOLDEN_SIMHASH = "4f1f796bc7118cc4c7c39ee8409fe99b"
 GOLDEN_MINHASH = "403b0ca1b54d400f2527b950b4b69556"
-GOLDEN_OPH = "87221b3443106916ffa9954ee536ed61"
-GOLDEN_SIGNSTAGE = {
-    "minhash": "771863e1ee99145549fc31f13fd6d9fd",
-    "oph": "d3fc1689dbeef3d75e362cb0c8a9a742",
-}
+GOLDEN_SIGNSTAGE = "771863e1ee99145549fc31f13fd6d9fd"
 
 
 def test_golden_hash64_strings():
@@ -424,18 +391,14 @@ def test_golden_simhash64():
     assert _digest(simhash64(_golden_corpus())) == GOLDEN_SIMHASH
 
 
-def test_golden_minhash_and_oph_signatures():
-    from fastdup_ray.functions.minhash import OnePermMinHasher
-
+def test_golden_minhash_signatures():
     docs = _golden_corpus()
     assert _digest(*MinHasher(5, 128, 42).signatures(docs)) == GOLDEN_MINHASH
-    assert _digest(*OnePermMinHasher(5, 128, 42).signatures(docs)) == GOLDEN_OPH
 
 
-# the "-False" ids keep the test names the suite has always reported
-@pytest.mark.parametrize("signer", list(GOLDEN_SIGNSTAGE),
-                         ids=lambda signer: f"{signer}-False")
-def test_golden_sign_stage(signer):
+# the id keeps the test name the suite has always reported
+@pytest.mark.parametrize("golden", [GOLDEN_SIGNSTAGE], ids=["minhash-False"])
+def test_golden_sign_stage(golden):
     import pyarrow as pa
 
     from fastdup_ray.config import DedupConfig
@@ -447,5 +410,5 @@ def test_golden_sign_stage(signer):
         "text": pa.array(docs, pa.string()),
         "is_valid": pa.array([i % 11 != 5 for i in range(len(docs))]),
     })
-    out = SignStage(DedupConfig(signer=signer))(batch)
-    assert _sign_table_digest(out) == GOLDEN_SIGNSTAGE[signer]
+    out = SignStage(DedupConfig())(batch)
+    assert _sign_table_digest(out) == golden

@@ -1,7 +1,7 @@
 """A worker killed mid-task is retried by Ray and the pipeline's output
 is unchanged: the first attempt of one verify index build task and of
 one exchange reduce task dies with `os._exit`; in an increment, the
-first attempt of one score-split reduce task and of one verify pack
+first attempt of one score-split reduce task and of one verify endpoint-filter
 task; and in a left_outer `hash_join` through the exchange, the first
 attempt of one two-input reduce task."""
 
@@ -85,8 +85,8 @@ def test_killed_split_and_pack_tasks_are_retried(ray_session, tmp_path, monkeypa
     pack_marker = str(tmp_path / "pack.died")
     monkeypatch.setattr(neardup, "_reuse_or_verify",
                         _die_on_first_attempt(neardup._reuse_or_verify, split_marker))
-    monkeypatch.setattr(verify, "_pack_endpoint_sets",
-                        _die_on_first_attempt(verify._pack_endpoint_sets, pack_marker))
+    monkeypatch.setattr(verify, "_endpoint_sets",
+                        _die_on_first_attempt(verify._endpoint_sets, pack_marker))
     faulted = run("faulted")
     assert os.path.exists(split_marker) and os.path.exists(pack_marker)
     assert faulted == clean

@@ -159,31 +159,6 @@ def test_config_change_invalidates(result, oracle, tmp_path_factory):
     assert cfg2.fingerprint("components") != oracle["cfg"].fingerprint("components")
 
 
-def test_oph_signer_recall(ray_session, oracle, tmp_path_factory):
-    """signer='oph' (one-permutation hashing + rotation densification):
-    the same e2e recall criterion must hold on the planted fixtures —
-    every oracle pair with J >= cc_threshold lands in one component."""
-    import dataclasses
-
-    cfg = dataclasses.replace(oracle["cfg"], signer="oph")
-    wd = str(tmp_path_factory.mktemp("workdir_oph"))
-    res = NearDupPipeline(cfg, work_dir=wd).run(
-        rd.from_arrow(oracle["pages"]).repartition(8), input_token="fixture-oph"
-    )
-    comp = {
-        r["doc_id"]: r["component_id"]
-        for r in res.connected_components().take_all()
-    }
-    missed = [
-        (a, b) for a, b in oracle["cc_pairs"] if comp.get(a, a) != comp.get(b, b)
-    ]
-    recall = 1 - len(missed) / len(oracle["cc_pairs"])
-    assert recall >= 0.99, f"oph recall {recall:.4f}"
-    # distances come from EXACT verify, so edges remain true Jaccard
-    sim = res.similarity().take_all()
-    assert all(r["distance"] >= cfg.threshold for r in sim)
-
-
 def test_sharded_verify_matches_single_shard(ray_session, oracle, tmp_path_factory,
                                              monkeypatch):
     """The oracle fixture's endpoint sets fit one index shard; with
@@ -195,9 +170,9 @@ def test_sharded_verify_matches_single_shard(ray_session, oracle, tmp_path_facto
     payloads, built = [], []
     build_index = verify._build_index
 
-    def recording_build_index(packed, payload_bytes):
+    def recording_build_index(sets, payload_bytes):
         payloads.append(payload_bytes)
-        refs = build_index(packed, payload_bytes)
+        refs = build_index(sets, payload_bytes)
         built.append(len(refs))
         return refs
 

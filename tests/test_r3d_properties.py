@@ -82,7 +82,7 @@ def test_hash_sample_rate_unbiased(ids, rate):
 @given(st.binary(min_size=80, max_size=600), st.integers(65, 200))
 def test_winnow_anchor_guarantee(data, sub_len):
     # every sub_len-byte window of any document contains >= 1 winnow
-    # anchor (the zero-miss basis of substring_anchor_mode="winnow")
+    # anchor (the zero-miss basis of stages/substring.py's anchors)
     from fastdup_ray.functions.hashing import rolling_shingle_hashes
     from fastdup_ray.stages.winnow import winnow_positions
 

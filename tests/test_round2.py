@@ -124,39 +124,6 @@ def test_sharded_search_equals_single(ray_session):
     assert st["n_docs"] > 0 and len(st["shards"]) == 4
 
 
-# ------------------------------------------------------------- substring runs
-def test_substring_reports_longest_of_multiple_runs(ray_session):
-    """ADVICE r1 (medium): when two docs share several distinct runs, the
-    reported pair must reflect a qualifying run even if another anchor
-    lands in a short run."""
-    from fastdup_ray.stages.substring import substring_pairs
-
-    rng = np.random.default_rng(3)
-
-    def rand_text(n):
-        return "".join(
-            rng.choice(list("abcdefghijklmnopqrstuvwxyz ")) for _ in range(n)
-        )
-
-    short_run = rand_text(90)     # shared but < substring_len
-    long_run = rand_text(400)     # shared and >= substring_len
-    doc_a = short_run + rand_text(200) + long_run + rand_text(50)
-    doc_b = rand_text(120) + short_run + rand_text(333) + long_run
-    tbl = pa.table(
-        {
-            "doc_id": pa.array([1, 2], pa.int64()),
-            "text": pa.array([doc_a, doc_b]),
-        }
-    )
-    # pin sampled mode explicitly (winnow became the config default in
-    # r5) so the 1/mod anchor path keeps its own coverage
-    cfg = DedupConfig(substring_len=256, substring_sample_mod=4,
-                      substring_anchor_mode="sampled")
-    out = substring_pairs(rd.from_arrow(tbl), cfg).take_all()
-    assert len(out) == 1
-    assert out[0]["match_len"] >= 256
-
-
 # ------------------------------------------------------ annotations url keep
 def test_expand_annotations_keeps_phantom_url(ray_session):
     from fastdup_ray.stages.annotations import ERR_MISSING_DOC, expand_annotations

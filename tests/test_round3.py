@@ -2,7 +2,6 @@
 
 import numpy as np
 import pyarrow as pa
-import pytest
 
 import ray
 import ray.data as rd
@@ -33,25 +32,6 @@ def test_normalize_urls_scheme_aware_ports(ray_session):
         "h.com/x",
         "h.com:443/x",
     ]
-
-
-def test_oph_seed_selects_signatures():
-    from fastdup_ray.functions.minhash import OnePermMinHasher
-
-    docs = ["the quick brown fox jumps over the lazy dog" * 3]
-    a, _ = OnePermMinHasher(5, 128, seed=1).signatures(docs)
-    b, _ = OnePermMinHasher(5, 128, seed=2).signatures(docs)
-    c, _ = OnePermMinHasher(5, 128, seed=1).signatures(docs)
-    assert not np.array_equal(a, b), "seed must select the minwise sample"
-    assert np.array_equal(a, c), "same seed must be deterministic"
-
-
-def test_oph_num_perms_guard():
-    from fastdup_ray.functions.minhash import OnePermMinHasher
-
-    for bad in (0, 1, 3, 96):
-        with pytest.raises(ValueError):
-            OnePermMinHasher(5, bad, 42)
 
 
 # ------------------------------------------------ search index persistence

@@ -31,12 +31,12 @@ def _jaccard(a: set, b: set) -> float:
 
 def _count_shards(monkeypatch, verify, payloads=None) -> list:
     """Record the shard count of every index verify builds (and, into
-    `payloads`, the payload bytes summed from the pack tasks)."""
+    `payloads`, the payload bytes summed from the endpoint-filter tasks)."""
     built = []
     build = verify._build_index
 
-    def counting_build(packed, payload_bytes):
-        refs = build(packed, payload_bytes)
+    def counting_build(sets, payload_bytes):
+        refs = build(sets, payload_bytes)
         built.append(len(refs))
         if payloads is not None:
             payloads.append(payload_bytes)
@@ -81,7 +81,7 @@ def test_payload_sizing_is_exact_under_skewed_block_order(ray_session, monkeypat
     for (a, b), d in got.items():
         assert d == _jaccard(sets[a], sets[b])
 
-    # the pack tasks' byte sum is the exact payload
+    # the endpoint-filter tasks' byte sum is the exact payload
     assert payloads == [true_bytes]
 
 
@@ -151,11 +151,11 @@ def test_scoring_holds_at_most_two_shards(ray_session, monkeypatch):
     rng = np.random.default_rng(5)
     ids = np.arange(300, dtype=np.int64) * 7919
     sets = [np.unique(rng.integers(0, 200, 40)) for _ in ids]
-    packed = verify._pack_shingles(_sets_table(ids, sets))
+    table = _sets_table(ids, sets)
     payload = 4 * sum(len(s) for s in sets)
     monkeypatch.setattr(verify, "_SHARD_BYTES", -(-payload // 6))
-    refs = verify._build_index([ray.put(packed.slice(0, 150)),
-                                ray.put(packed.slice(150))], payload)
+    refs = verify._build_index([ray.put(table.slice(0, 150)),
+                                ray.put(table.slice(150))], payload)
     assert len(refs) == 6
 
     live, peak, fetched = [0], [0], set()

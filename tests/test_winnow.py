@@ -1,11 +1,15 @@
 """Winnowing fingerprints (stages/winnow.py): kernel vs brute-force
 oracle, the SIGMOD'03 substring-match guarantee, DuckDB SQL-twin parity,
-and the Ray pair-counting path."""
+the Ray pair-counting path, and the winnow-anchored exact-substring
+stage (stages/substring.py)."""
 
 import duckdb
 import numpy as np
 import pyarrow as pa
 import pytest
+import ray.data as rd
+
+from fastdup_ray.config import DedupConfig
 
 from fastdup_ray.stages.winnow import (
     _winnow_batch,
@@ -115,3 +119,69 @@ def test_winnow_pair_counts_ray_vs_sql(ray_session):
     # the planted exact duplicate (docs 3 and 6) must be the top pair
     top = max(want, key=lambda r: r[2])
     assert (top[0], top[1]) == (3, 6)
+
+
+# ------------------------------------------------ exact-substring anchors
+SUBSTRING_WINDOW = 64
+
+
+def _rand_text(rng, n):
+    return "".join(rng.choice(list("abcdefghijklmnopqrstuvwxyz ")) for _ in range(n))
+
+
+def test_substring_reports_longest_of_multiple_runs(ray_session):
+    """ADVICE r1 (medium): when two docs share several distinct runs, the
+    reported pair must reflect a qualifying run even if another anchor
+    lands in a short run."""
+    from fastdup_ray.stages.substring import substring_pairs
+
+    rng = np.random.default_rng(3)
+    short_run = _rand_text(rng, 90)     # shared but < substring_len
+    long_run = _rand_text(rng, 400)     # shared and >= substring_len
+    doc_a = short_run + _rand_text(rng, 200) + long_run + _rand_text(rng, 50)
+    doc_b = _rand_text(rng, 120) + short_run + _rand_text(rng, 333) + long_run
+    tbl = pa.table(
+        {
+            "doc_id": pa.array([1, 2], pa.int64()),
+            "text": pa.array([doc_a, doc_b]),
+        }
+    )
+    cfg = DedupConfig(substring_len=256)
+    out = substring_pairs(rd.from_arrow(tbl), cfg).take_all()
+    assert len(out) == 1
+    assert out[0]["match_len"] >= 256
+
+
+def test_winnow_zero_miss_with_out_of_run_anchor_copy(ray_session):
+    """ADVICE r3 (high): when the winnow-selected in-run 64-gram ALSO
+    occurs outside the shared run in the same doc, the pair must still be
+    found. The old one-occurrence-per-doc-per-fp bucket rule could keep
+    the out-of-run copy, verify the wrong site, and silently drop the
+    pair (missed on 4/25 of these crafted corpora before the fix)."""
+    from fastdup_ray.functions.hashing import rolling_shingle_hashes
+    from fastdup_ray.stages.substring import substring_pairs
+
+    sub_len = 128
+    w = sub_len - SUBSTRING_WINDOW + 1
+    cfg = DedupConfig(substring_len=sub_len)
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        run = _rand_text(rng, sub_len)
+        h_run = rolling_shingle_hashes(run.encode(), SUBSTRING_WINDOW)
+        # the guaranteed-shared anchor: rightmost-min of the full in-run
+        # winnow window (identical selection in both docs)
+        p = int(winnow_positions(h_run, w)[0])
+        decoy = run[p : p + SUBSTRING_WINDOW]  # same 64-gram, extends to < sub_len
+        doc_a = decoy + _rand_text(rng, 150) + run + _rand_text(rng, 40)
+        doc_b = _rand_text(rng, 90) + run + _rand_text(rng, 60)
+        tbl = pa.table(
+            {
+                "doc_id": pa.array([1, 2], pa.int64()),
+                "text": pa.array([doc_a, doc_b]),
+            }
+        )
+        out = substring_pairs(rd.from_arrow(tbl), cfg).take_all()
+        assert any(
+            r["src"] == 1 and r["dst"] == 2 and r["match_len"] >= sub_len
+            for r in out
+        ), (seed, out)

@@ -102,8 +102,7 @@ def main() -> None:
         wd = f"/dev/shm/fastdup_ray_incr_{tag}"
         shutil.rmtree(wd, ignore_errors=True)
         # no-checkpoint config, as bench.py with BENCH_NO_CHECKPOINT=1
-        cfg = DedupConfig(num_partitions=min(64, ncpu), checkpoint_stages=(),
-                          signer=os.environ.get("BENCH_SIGNER", "oph"))
+        cfg = DedupConfig(num_partitions=min(64, ncpu), checkpoint_stages=())
         return NearDupPipeline(cfg, work_dir=wd)
 
     probe0 = wait_for_healthy_host(
