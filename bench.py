@@ -101,13 +101,9 @@ def run_bench() -> dict:
     # penalize only the high-parallelism run (~11 s of non-scaling IO)
     work_dir = f"/dev/shm/fastdup_ray_bench_{ncpu}"
     shutil.rmtree(work_dir, ignore_errors=True)
-    # BENCH_NO_CHECKPOINT=1: skip the per-stage Parquet checkpoint writes
-    # (stages still materialize). Default keeps checkpoints on — the
-    # honest e2e wall.
-    ckpt = () if os.environ.get("BENCH_NO_CHECKPOINT") else None
     # the library's one signer, classic 128-permutation MinHash, as in
     # the perfbench gate
-    cfg = DedupConfig(num_partitions=min(64, ncpu), checkpoint_stages=ckpt)
+    cfg = DedupConfig(num_partitions=min(64, ncpu))
     pipe = NearDupPipeline(cfg, work_dir=work_dir)
 
     probe = wait_for_healthy_host(
@@ -129,17 +125,21 @@ def run_bench() -> dict:
     smp.start()
 
     t0 = time.monotonic()
-    res = pipe.run(pages_path=corpus_dir, input_token=f"bench-{ncpu}", resume=False)
-    n_comp = res.connected_components().count()  # force the full chain
-    n_docs = res.docs().count()
-    headline = time.monotonic() - t0
-    stop_evt.set()
+    try:
+        res = pipe.run(pages_path=corpus_dir, input_token=f"bench-{ncpu}",
+                       resume=False)
+        n_comp = res.connected_components().count()  # force the full chain
+        n_docs = res.docs().count()
+        headline = time.monotonic() - t0
+    finally:
+        stop_evt.set()
+        # nothing below reads the checkpoints; free their tmpfs space
+        shutil.rmtree(work_dir, ignore_errors=True)
     # exit probe: a rep is only trustworthy when entry, exit AND every
     # mid-run sample are healthy
     probe_exit = host_probe()
     probe_max_mid = round(max((p for _, p in samples), default=0.0), 3)
-    # per-stage compute walls, recorded in-memory by the pipeline (works
-    # in no-checkpoint mode too)
+    # per-stage compute walls, recorded in-memory by the pipeline
     stage_walls = dict(pipe.stage_walls)
 
     # ---- query suite (skip the O(sum df^2) ngram oracle query at bench

@@ -75,13 +75,6 @@ class DedupConfig:
     # distributed round costs three shuffles of fixed latency. Above the
     # threshold (the 10^12-doc regime) star contraction runs.
     cc_driver_max_edges: int = 5_000_000
-    # which stages write Parquet checkpoints + manifests. None = all (the
-    # default: every stage resumable, the north-rule posture). A tuple
-    # (e.g. ("docs", "pair_scores", "components")) skips the write for the
-    # other stages — they still materialize once into the object store
-    # (multi-consumer safe) but are not resumable; on S3-backed work_dirs
-    # the skipped write is the dominant per-stage IO cost.
-    checkpoint_stages: tuple | None = None
 
     def __post_init__(self) -> None:
         if self.num_bands * self.rows_per_band != self.num_perms:
@@ -100,8 +93,6 @@ class DedupConfig:
     def from_dict(cls, d: dict) -> "DedupConfig":
         names = {f.name for f in dataclasses.fields(cls)}
         kw = {k: v for k, v in d.items() if k in names}
-        if isinstance(kw.get("checkpoint_stages"), list):
-            kw["checkpoint_stages"] = tuple(kw["checkpoint_stages"])
         return cls(**kw)
 
     def fingerprint(self, *parts: str) -> str:

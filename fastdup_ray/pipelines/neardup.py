@@ -18,8 +18,12 @@ checkpoint is a Parquet directory with a lineage manifest:
 Resume (north rule "resumable from checkpoint"): each stage's
 fingerprint covers the config plus all upstream fingerprints; a stage
 re-runs iff its fingerprint changed, otherwise its Parquet checkpoint is
-read back. Writes are atomic (write to `_tmp.<name>`, rename) so a
-killed run never leaves a half-checkpoint that resume would trust.
+read back. A stage commits as Ray dataflow: one task per block writes
+`<stage>/data-<fingerprint>/part-NNNNN.parquet`, and one commit task
+that depends on all of them writes `manifest.json` last. Ray runs the
+commit only once every write succeeded, and resume trusts a data dir
+only through a manifest with its fingerprint, so a killed run or a
+failed write never leaves a half-checkpoint that resume would trust.
 
 Accessors mirror the reference controller's query surface
 (similarity/outliers/connected_components/..., SURVEY.md §2.5-2.8,
@@ -70,6 +74,31 @@ def _write_block(block, fs, path: str) -> tuple[int, int]:
     table = BlockAccessor.for_block(block).to_arrow()
     pq.write_table(table, path, filesystem=fs)
     return table.num_rows, fs.get_file_info(path).size
+
+
+def _commit_stage(fs, stage_root: str, manifest: dict, names: list[str],
+                  t_start: float, *written) -> None:
+    """Commit one stage checkpoint: fill in and write its manifest, given
+    the (rows, bytes) of every block file as `written`, then drop the
+    stage's stale `data-*` dirs. Runs as a Ray task whose arguments are
+    the block write tasks, so it starts only after they all succeeded."""
+    from pyarrow import fs as pafs
+
+    files = [{"file": n, "rows": rows, "bytes": nbytes}
+             for n, (rows, nbytes) in zip(names, written)]
+    manifest.update(rows=sum(f["rows"] for f in files),
+                    write_s=round(time.time() - t_start, 3), files=files)
+    with fs.open_output_stream(f"{stage_root}/manifest.json") as fh:
+        fh.write(json.dumps(manifest, indent=1).encode())
+    # best-effort cleanup of stale fingerprint dirs from older configs
+    try:
+        for fi in fs.get_file_info(pafs.FileSelector(stage_root)):
+            if (fi.type == pafs.FileType.Directory
+                    and fi.base_name.startswith("data-")
+                    and fi.base_name != manifest["data_dir"]):
+                fs.delete_dir(fi.path)
+    except OSError:
+        pass
 
 
 def _fs_and_path(path: str):
@@ -192,13 +221,11 @@ class NearDupPipeline:
         )
         self._fs, self._root = _fs_and_path(work_dir)
         self._fs.create_dir(self._root, recursive=True)
-        # in-flight async checkpoint writers (see _stage): joined by
-        # flush_checkpoints() before any run() returns
-        self._ckpt_threads: list = []
-        self._ckpt_errors: list = []
-        # compute wall per executed stage (seconds), recorded whether or
-        # not the stage checkpoints — bench.py's no-checkpoint runs
-        # still report per-stage walls
+        # (stage, commit ref) of every checkpoint commit not yet waited
+        # for (see _stage): flush_checkpoints() waits for them before any
+        # run() returns
+        self._commits: list = []
+        # compute wall per stage (seconds), also for a resumed stage
         self.stage_walls: dict[str, float] = {}
 
     def _hook(self, name: str, ds):
@@ -231,18 +258,6 @@ class NearDupPipeline:
         from pyarrow import fs as pafs
 
         fp = self.cfg.fingerprint(name, *upstream_fps)
-        enabled = (
-            self.cfg.checkpoint_stages is None
-            or name in self.cfg.checkpoint_stages
-        )
-        if not enabled:
-            # checkpoint opt-out: materialize once (multi-consumer safe,
-            # object-store-resident) but skip the Parquet write + manifest
-            # — not resumable, no stage IO (VERDICT r1 #7 follow-up)
-            t0 = time.monotonic()
-            ds = materialized(build())
-            self.stage_walls[name] = round(time.monotonic() - t0, 3)
-            return ds, fp
         stage_root = f"{self._root}/{name}"
         man_path = f"{stage_root}/manifest.json"
         data_dir = f"{stage_root}/data-{fp}"
@@ -268,106 +283,77 @@ class NearDupPipeline:
         # store and hand the in-memory dataset downstream — downstream
         # stages start from memory instead of re-reading parquet
         ds = materialized(build())
-        wall = time.monotonic() - t0
-        self.stage_walls[name] = round(wall, 3)
+        wall = round(time.monotonic() - t0, 3)
+        self.stage_walls[name] = wall
 
-        # checkpoint write runs OFF the critical path: the data is
-        # already durable-enough in the object store for this run, so
-        # the Parquet write + manifest commit happen in a background
-        # thread that overlaps the NEXT stage's compute. The commit
-        # protocol is unchanged (data dir fully written before the
-        # manifest marker), and flush_checkpoints() — called before any
-        # run() returns — re-raises failures, so a returned result
-        # always has durable, committed checkpoints. On a real cluster
-        # this overlaps S3 upload with compute; resume semantics are
-        # identical because a crash mid-write leaves no manifest.
-        def write_checkpoint():
-            t_w = time.monotonic()
-            try:
-                self._fs.delete_dir_contents(data_dir, missing_dir_ok=True)
-            except (OSError, TypeError):
-                pass
-            self._fs.create_dir(data_dir, recursive=True)
-            # one write task per block; (rows, bytes) per file comes back
-            # from the tasks, so no file footer is reopened. A zero-row
-            # stage still commits one typed file, so resume reads back
-            # its schema
-            blocks = nonempty_block_refs(ds) or [ray.put(empty_table(ds))]
-            write = remote_fn(_write_block)
-            names = [f"part-{i:05d}.parquet" for i in range(len(blocks))]
-            refs = [write.remote(b, self._fs, f"{data_dir}/{n}")
-                    for b, n in zip(blocks, names)]
-            # wait for every write to end before raising, so no task is
-            # still writing into data_dir once this stage's failure is seen
-            ray.wait(refs, num_returns=len(refs))
-            files = [{"file": n, "rows": rows, "bytes": nbytes}
-                     for n, (rows, nbytes) in zip(names, ray.get(refs))]
-            total_rows = sum(f["rows"] for f in files)
-            manifest = {
-                "stage": name,
-                "fingerprint": fp,
-                "upstream": upstream_fps,
-                "rows": total_rows,
-                "wall_s": round(wall, 3),
-                "write_s": round(time.monotonic() - t_w, 3),
-                "data_dir": f"data-{fp}",
-                "files": files,
-                "config": self.cfg.to_dict(),
-            }
-            with self._fs.open_output_stream(man_path) as fh:
-                fh.write(json.dumps(manifest, indent=1).encode())
-            # best-effort cleanup of stale fingerprint dirs from older configs
-            try:
-                for fi in self._fs.get_file_info(pafs.FileSelector(stage_root)):
-                    if (
-                        fi.type == pafs.FileType.Directory
-                        and fi.base_name.startswith("data-")
-                        and fi.base_name != f"data-{fp}"
-                    ):
-                        self._fs.delete_dir(fi.path)
-            except OSError:
-                pass
-
-        def runner():
-            try:
-                write_checkpoint()
-            except BaseException as exc:  # noqa: BLE001 — re-raised at flush
-                self._ckpt_errors.append((name, exc))
-
-        import threading
-
-        th = threading.Thread(
-            target=runner, name=f"ckpt-{name}", daemon=True
-        )
-        th.start()
-        self._ckpt_threads.append(th)
+        # the checkpoint commits off the critical path, as Ray dataflow:
+        # one write task per block, then one commit task that takes the
+        # writes' results as arguments. Ray starts it only after every
+        # write has ended and never runs it when one failed, so the
+        # manifest lands after every file and never after a failed write
+        t_w = time.time()
+        try:
+            self._fs.delete_dir_contents(data_dir, missing_dir_ok=True)
+        except (OSError, TypeError):
+            pass
+        self._fs.create_dir(data_dir, recursive=True)
+        # (rows, bytes) per file comes back from the write tasks, so no
+        # file footer is reopened. A zero-row stage still commits one
+        # typed file, so resume reads back its schema
+        blocks = nonempty_block_refs(ds) or [ray.put(empty_table(ds))]
+        write = remote_fn(_write_block)
+        names = [f"part-{i:05d}.parquet" for i in range(len(blocks))]
+        writes = [write.remote(b, self._fs, f"{data_dir}/{n}")
+                  for b, n in zip(blocks, names)]
+        # rows, write_s and files are filled in by the commit task
+        manifest = {
+            "stage": name,
+            "fingerprint": fp,
+            "upstream": upstream_fps,
+            "rows": None,
+            "wall_s": wall,
+            "write_s": None,
+            "data_dir": f"data-{fp}",
+            "files": None,
+            "config": self.cfg.to_dict(),
+        }
+        commit = remote_fn(_commit_stage).remote(
+            self._fs, stage_root, manifest, names, t_w, *writes)
+        self._commits.append((name, commit))
         return ds, fp
 
+    def _wait_commits(self) -> list:
+        """Wait for every pending checkpoint commit; (stage, error) of
+        those that failed, in stage order."""
+        commits, self._commits = self._commits, []
+        failed = []
+        for name, commit in commits:
+            try:
+                ray.get(commit)
+            except ray.exceptions.RayError as exc:
+                failed.append((name, exc))
+        return failed
+
     def flush_checkpoints(self) -> None:
-        """Join every in-flight checkpoint writer; raise the first
+        """Wait for every pending checkpoint commit; raise the first
         failure. Called before run()/run_incremental() return, so a
         returned result always has committed checkpoints on disk."""
-        while self._ckpt_threads:
-            self._ckpt_threads.pop().join()
-        if self._ckpt_errors:
-            name, exc = self._ckpt_errors[0]
-            self._ckpt_errors.clear()
+        failed = self._wait_commits()
+        if failed:
+            name, exc = failed[0]
             raise RuntimeError(f"checkpoint write failed for stage {name!r}") from exc
 
     def _settle_checkpoints(self) -> None:
         """Entry barrier for run()/run_incremental(): if a PREVIOUS run
         aborted mid-pipeline (stage exception, KeyboardInterrupt), its
-        async checkpoint writers may still be in flight — a new run's
-        resume-miss rebuild of the same stage would otherwise race two
-        writers on one data_dir (interleaved delete/write -> a committed
-        manifest over a mixed file set). Join them first, and drop their
-        errors with a warning: those stages never committed a manifest,
-        so this run rebuilds them regardless."""
-        while self._ckpt_threads:
-            self._ckpt_threads.pop().join()
-        if self._ckpt_errors:
-            names = sorted({n for n, _ in self._ckpt_errors})
-            self._ckpt_errors.clear()
+        checkpoint commits may still be pending — a new run's resume-miss
+        rebuild of the same stage would otherwise clear a data dir that
+        a write task is still filling. Wait for them first, and drop
+        their errors with a warning: those stages never committed a
+        manifest, so this run rebuilds them regardless."""
+        failed = self._wait_commits()
+        if failed:
+            names = sorted({n for n, _ in failed})
             warnings.warn(
                 "discarding checkpoint-write failures from a previous "
                 f"aborted run (stages {names}); the stages were never "

@@ -1415,16 +1415,13 @@ SELECT event_id, user_id, o_orderkey AS last_orderkey FROM j WHERE rn = 1
 """
 
 
-# -------------------------------------------------------- bloom anti-join
+# ---------------------------------------------------------- event anti-join
 def q_customers_without_events(sf_dir: str):
-    """J5 anti-join at scale shape: customers with no event activity,
-    via the Bloom-prefiltered anti-join — ~90% of customers miss the
-    1 MiB broadcast sketch and bypass the shuffle entirely as guaranteed
-    output; only the ~10% bloom hits run the exact cogroup check.
-    Output identical to the plain shuffle anti-join by construction."""
-    from fastdup_ray.relational.ops import bloom_cogroup_anti_join
+    """J5 anti-join at scale shape: customers with no event activity, as
+    a shuffle anti-join (both sides hash-partitioned by key)."""
+    from fastdup_ray.relational.ops import cogroup_anti_join
 
-    res = bloom_cogroup_anti_join(
+    res = cogroup_anti_join(
         _t(sf_dir, "customer", ["c_custkey"]),
         _t(sf_dir, "events", ["user_id"]),
         on="c_custkey", right_on="user_id",
@@ -3377,9 +3374,11 @@ def queries():
     # minhash_components (its verify stage now scores the signature
     # table's shingle sets), and the five join-backed queries that sat
     # beyond it when every two-input op moved onto the one hash exchange
-    # and join kernel, and substring_dup_pairs (its code changed when the
-    # sampled anchor rule was deleted; it runs the winnow anchors, as
-    # before).  The rest of the window is padded with the
+    # and join kernel (customers_without_events has since moved from the
+    # deleted Bloom-prefiltered anti-join to cogroup_anti_join), and
+    # substring_dup_pairs (its code changed when the sampled anchor rule
+    # was deleted; it runs the winnow anchors, as before).  The rest of
+    # the window is padded with the
     # cheapest queries that already hold two rounds of driver evidence.
     # Rotate again next round so every query gets a driver row within two
     # rounds.  Local full-catalog sweep: tools/correctness_dryrun.py.

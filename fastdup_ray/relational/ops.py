@@ -788,135 +788,6 @@ def _asof_tables(left: pa.Table, right: pa.Table, *, on: str, right_on: str,
     return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
 
 
-def build_bloom(ds, key: str, *, n_bits: int = 1 << 23, k_hashes: int = 7,
-                fan: int = 8):
-    """Distributed Bloom filter of a key column: per-block bitmaps OR'd by
-    a task-side tree-reduce; the driver only ever holds the final
-    ObjectRef.
-
-    n_bits default 8M (1 MiB bitmap) ~= 1% false positives at 1M keys
-    with 7 hashes; size it ~8-10 bits per expected distinct key.
-    Returns (bitmap_ref, test_fn) — test_fn(keys, bitmap) -> bool mask of
-    maybe-present. Keys may be any dtype: integers go through splitmix64
-    directly, everything else through the same object hash
-    partitioned_groupby uses.
-    """
-    import numpy as np
-    import ray as _ray
-
-    words = n_bits >> 6
-
-    def _hashes(keys: np.ndarray):
-        # splitmix64 avalanche, two independent streams -> double hashing
-        def mix(z):
-            z = (z + np.uint64(0x9E3779B97F4A7C15)) * np.uint64(0xBF58476D1CE4E5B9)
-            z ^= z >> np.uint64(27)
-            z *= np.uint64(0x94D049BB133111EB)
-            return z ^ (z >> np.uint64(31))
-
-        with np.errstate(over="ignore"):
-            if keys.dtype.kind in "iu":
-                z = keys.astype(np.int64).view(np.uint64)
-            else:
-                z = pd.util.hash_array(
-                    np.asarray(keys, dtype=object), categorize=False
-                )
-            h1 = mix(z)
-            h2 = mix(z ^ np.uint64(0xA5A5A5A5A5A5A5A5)) | np.uint64(1)
-        return h1, h2
-
-    nb = np.uint64(n_bits)
-
-    def _set_bits(keys: np.ndarray) -> np.ndarray:
-        bm = np.zeros(words, np.uint64)
-        h1, h2 = _hashes(keys)
-        for i in range(k_hashes):
-            with np.errstate(over="ignore"):
-                pos = (h1 + np.uint64(i) * h2) % nb
-            w = (pos >> np.uint64(6)).astype(np.int64)
-            b = np.uint64(1) << (pos & np.uint64(63))
-            np.bitwise_or.at(bm, w, b)
-        return bm
-
-    @_ray.remote
-    def _block_bloom(t: pa.Table) -> np.ndarray:
-        return _set_bits(t[key].to_numpy(zero_copy_only=False))
-
-    @_ray.remote
-    def _or(*bms) -> np.ndarray:
-        out = bms[0].copy()
-        for b in bms[1:]:
-            out |= b
-        return out
-
-    refs = [_block_bloom.remote(r) for r in ds.materialize().to_arrow_refs()]
-    if not refs:
-        refs = [_ray.put(np.zeros(words, np.uint64))]
-    while len(refs) > 1:
-        refs = [_or.remote(*refs[i : i + fan]) for i in range(0, len(refs), fan)]
-
-    def test_fn(keys: np.ndarray, bitmap: np.ndarray) -> np.ndarray:
-        """Vectorized membership test: True = maybe-present."""
-        hit = np.ones(keys.shape[0], bool)
-        h1, h2 = _hashes(keys)
-        for i in range(k_hashes):
-            with np.errstate(over="ignore"):
-                pos = (h1 + np.uint64(i) * h2) % nb
-            w = (pos >> np.uint64(6)).astype(np.int64)
-            b = np.uint64(1) << (pos & np.uint64(63))
-            hit &= (bitmap[w] & b) != 0
-        return hit
-
-    return refs[0], test_fn
-
-
-def bloom_cogroup_anti_join(left, right, *, on: str,
-                            right_on: str | None = None,
-                            num_parts: int = 64, n_bits: int = 1 << 23):
-    """Exact anti-join with a Bloom prefilter: left rows whose key MISSES
-    the right-key Bloom filter are definitely unmatched and bypass the
-    shuffle entirely (streamed straight to the output); only the
-    Bloom-HIT rows (true matches + the ~1% false positives) go through
-    the exact cogroup anti-join. Identical output to cogroup_anti_join —
-    the sketch changes shuffle volume, never the answer. At web scale
-    this turns an all-to-all over the full left side into one over
-    ~|matches| rows plus a 1 MiB broadcast."""
-    import functools
-
-    import numpy as np
-
-    import ray as _ray
-
-    rk = right_on or on
-    bloom_ref, test_fn = build_bloom(
-        right.select_columns([rk]), rk, n_bits=n_bits
-    )
-
-    def split(batch: pa.Table, *, keep_hits: bool) -> pa.Table:
-        bm = _ray.get(bloom_ref)
-        keys = batch[on].to_numpy(zero_copy_only=False)
-        hit = test_fn(keys, bm)
-        mask = hit if keep_hits else ~hit
-        return batch.filter(pa.array(mask))
-
-    left = left.materialize()
-    misses = left.map_batches(
-        functools.partial(split, keep_hits=False), batch_format="pyarrow"
-    )
-    hits = left.map_batches(
-        functools.partial(split, keep_hits=True), batch_format="pyarrow"
-    )
-    checked = cogroup_anti_join(
-        hits, right, on=on, right_on=rk, num_parts=num_parts
-    )
-    lschema = left.schema()
-    cols = {
-        name: _as_arrow_type(t)
-        for name, t in zip(lschema.names, lschema.types)
-    }
-    return with_schema(misses.union(checked), cols)
-
-
 def _as_arrow_type(t) -> pa.DataType:
     """Dataset.schema() yields pa.DataType for Arrow blocks but numpy /
     python types for pandas-backed blocks — normalize to Arrow."""

@@ -1,10 +1,12 @@
-"""The pipeline's per-block checkpoint writer: manifest figures match the
-files on disk, resume reads every stage back (also a stage with zero
-rows), and a failed block write surfaces at flush_checkpoints with no
-manifest committed."""
+"""The pipeline's checkpoint commit (one write task per block, one
+manifest task after them): manifest figures match the files on disk,
+resume reads every stage back (also a stage with zero rows), a failed
+block write surfaces at flush_checkpoints with no manifest committed,
+and a run after an aborted one resumes the stages it committed."""
 
 import json
 import os
+import time
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -106,6 +108,8 @@ def test_failed_block_write_surfaces_at_flush_without_manifest(
     def failing_write(block, fs, path):
         if "/docs/" in path and path.endswith("part-00001.parquet"):
             raise OSError("injected write failure")
+        if "/docs/" in path and path.endswith("part-00000.parquet"):
+            time.sleep(3.0)  # outlasts the rest of the run
         return write(block, fs, path)
 
     monkeypatch.setattr(neardup, "_write_block", failing_write)
@@ -116,9 +120,67 @@ def test_failed_block_write_surfaces_at_flush_without_manifest(
     with pytest.raises(RuntimeError, match="'docs'") as err:
         pipe.run(rd.from_arrow(pages).repartition(4), input_token="p200")
     assert "injected write failure" in repr(err.value.__cause__)
-    # the other block writes of the stage ran; its manifest was not committed
+    # the other block writes of the stage ran to the end before the
+    # failure surfaced; its manifest was not committed
     data_dirs = [d for d in os.listdir(os.path.join(work, "docs"))
                  if d.startswith("data-")]
-    assert len(os.listdir(os.path.join(work, "docs", data_dirs[0]))) >= 1
+    data_dir = os.path.join(work, "docs", data_dirs[0])
+    assert os.path.exists(os.path.join(data_dir, "part-00000.parquet"))
     assert not os.path.exists(os.path.join(work, "docs", "manifest.json"))
     assert os.path.exists(os.path.join(work, "signatures", "manifest.json"))
+
+
+def test_run_after_aborted_run_resumes_its_committed_stages(
+        ray_session, tmp_path, monkeypatch):
+    """A run that raises in the components stage leaves the commits of
+    the stages before it pending; the next run on the same pipeline
+    waits for them, resumes docs through pair_scores from their
+    manifests and gives the result of a clean run."""
+    from fastdup_ray.pipelines import neardup
+    from fastdup_ray.pipelines.neardup import NearDupPipeline
+    from fastdup_ray.sources.pages import synthesize_pages
+
+    calls = []
+
+    def flaky(ds):
+        calls.append(1)
+        if len(calls) == 1:
+            raise RuntimeError("injected abort")
+        return ds
+
+    pages, _ = synthesize_pages(300, seed=5)
+    work = str(tmp_path / "wd")
+    pipe = NearDupPipeline(DedupConfig(), work_dir=work,
+                           hooks={"pre_components": flaky}, hooks_token="v1")
+    write = neardup._write_block
+
+    def slow_write(block, fs, path):
+        if "/pair_scores/" in path:
+            time.sleep(2.0)  # still writing when the run aborts
+        return write(block, fs, path)
+
+    with monkeypatch.context() as m, pytest.raises(RuntimeError, match="injected abort"):
+        m.setattr(neardup, "_write_block", slow_write)
+        pipe.run(rd.from_arrow(pages).repartition(4), input_token="p300")
+    assert not os.path.exists(os.path.join(work, "components", "manifest.json"))
+
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("a committed stage was rebuilt")
+
+    # every stage before components must resume from its manifest
+    with monkeypatch.context() as m:
+        for name in ("SignStage", "candidate_pairs", "verify_pairs"):
+            m.setattr(neardup, name, rebuilt)
+        again = pipe.run(_unreadable_pages(), input_token="p300")
+    for stage in STAGES:
+        assert _manifest(work, stage)["stage"] == stage
+
+    clean = NearDupPipeline(
+        DedupConfig(), work_dir=str(tmp_path / "clean"),
+        hooks={"pre_components": lambda ds: ds}, hooks_token="v1",
+    ).run(rd.from_arrow(pages).repartition(4), input_token="p300")
+    assert again.summary() == clean.summary()
+    assert (_sorted_rows(again.pair_scores(), ["src", "dst", "distance"])
+            == _sorted_rows(clean.pair_scores(), ["src", "dst", "distance"]))
+    assert (_sorted_rows(again.connected_components(), ["doc_id", "component_id"])
+            == _sorted_rows(clean.connected_components(), ["doc_id", "component_id"]))

@@ -213,12 +213,15 @@ def test_load_result_rejects_work_dir_of_another_signer(tmp_path):
         NearDupPipeline.load_result(str(tmp_path))
 
 
-def test_from_dict_ignores_deleted_extract_concurrency():
+def test_from_dict_ignores_deleted_fields():
     """A manifest config written while DedupConfig still had
-    `extract_concurrency` loads with its other fields intact."""
+    `extract_concurrency` or `checkpoint_stages` (JSON keeps a tuple as
+    a list) loads with its other fields intact."""
     import dataclasses
 
     old = DedupConfig(threshold=0.85).to_dict()
     old["extract_concurrency"] = 4
+    old["checkpoint_stages"] = ["docs", "pair_scores", "components"]
     assert DedupConfig.from_dict(old) == DedupConfig(threshold=0.85)
-    assert "extract_concurrency" not in {f.name for f in dataclasses.fields(DedupConfig)}
+    names = {f.name for f in dataclasses.fields(DedupConfig)}
+    assert not names & {"extract_concurrency", "checkpoint_stages"}

@@ -1,5 +1,5 @@
 """The two-input relational ops (`hash_join`, `cogroup_anti_join`,
-`asof_join`, `bloom_cogroup_anti_join`) against pandas oracles: one
+`asof_join`) against pandas oracles: one
 property test over join types, key kinds, null keys, list payloads,
 empty sides, 1-8 partitions and both sides of the broadcast choice,
 plus the fixed cases."""
@@ -143,6 +143,19 @@ def test_cogroup_anti_join(ray_session):
     out = cogroup_anti_join(left, right, on="k", right_on="r").take_all()
     assert sorted((r["k"], r["v"]) for r in out) == [(1, "a"), (3, "c"), (5, "e")]
 
+    # multi-block sides against pandas truth
+    rng = np.random.default_rng(13)
+    left = pd.DataFrame({"k": rng.integers(0, 100_000, 5000), "v": np.arange(5000)})
+    right = pd.DataFrame({"rk": rng.integers(0, 100_000, 800)})
+    got = cogroup_anti_join(rd.from_pandas(left).repartition(9),
+                            rd.from_pandas(right).repartition(5),
+                            on="k", right_on="rk", num_parts=16).to_pandas()
+    truth = left[~left["k"].isin(set(right["rk"]))]
+    key = ["k", "v"]
+    got = got[key].astype(np.int64).sort_values(key).reset_index(drop=True)
+    truth = truth[key].sort_values(key).reset_index(drop=True)
+    pd.testing.assert_frame_equal(got, truth)
+
 
 def test_hash_join_broadcast_matches_shuffle(ray_session):
     """The broadcast small-side path must return exactly what the
@@ -275,66 +288,14 @@ def test_asof_join_matches_pandas_oracle(ray_session):
     pd.testing.assert_frame_equal(got, want)
 
 
-def test_bloom_anti_join_matches_exact(ray_session):
-    """Bloom-prefiltered anti-join == plain cogroup anti-join (the sketch
-    changes shuffle volume, never the answer), and the prefilter
-    actually routes most non-matching rows around the shuffle."""
-    import pandas as pd
-
-    import ray as _ray
-
-    from fastdup_ray.relational.ops import (
-        bloom_cogroup_anti_join,
-        build_bloom,
-        cogroup_anti_join,
-    )
-
-    rng = np.random.default_rng(13)
-    left = pd.DataFrame({
-        "k": rng.integers(0, 100_000, 5000),
-        "v": np.arange(5000),
-    })
-    right = pd.DataFrame({"rk": rng.integers(0, 100_000, 800)})
-    lds = rd.from_pandas(left).repartition(9)
-    rds = rd.from_pandas(right).repartition(5)
-
-    got = bloom_cogroup_anti_join(lds, rds, on="k", right_on="rk",
-                                  num_parts=16).to_pandas()
-    want = cogroup_anti_join(lds, rds, on="k", right_on="rk",
-                             num_parts=16).to_pandas()
-    key = ["k", "v"]
-    # the bloom path restores exact int64 via with_schema; the plain path
-    # degrades to float64 through NaN padding — compare values
-    got = got[key].astype(np.int64).sort_values(key).reset_index(drop=True)
-    want = want[key].astype(np.int64).sort_values(key).reset_index(drop=True)
-    pd.testing.assert_frame_equal(got, want)
-    # pandas truth
-    truth = left[~left["k"].isin(set(right["rk"]))]
-    assert len(got) == len(truth)
-
-    # the Bloom itself: zero false negatives, few false positives
-    bloom_ref, test_fn = build_bloom(rds, "rk")
-    bm = _ray.get(bloom_ref)
-    keys = left["k"].to_numpy()
-    hit = test_fn(keys, bm)
-    true_hit = left["k"].isin(set(right["rk"])).to_numpy()
-    assert (hit | ~true_hit).all()  # no false negatives
-    fp = (hit & ~true_hit).mean()
-    assert fp < 0.05, f"false-positive rate {fp:.3f}"
-
-
-def test_bloom_anti_join_string_keys(ray_session):
-    """Bloom prefilter must support non-integer keys (urls/domains)."""
-    import pandas as pd
-
-    from fastdup_ray.relational.ops import bloom_cogroup_anti_join
-
+def test_cogroup_anti_join_string_keys(ray_session):
+    """String keys (urls/domains) go through the exchange."""
     left = pd.DataFrame({
         "u": [f"https://site{i}.com/p" for i in range(300)],
         "v": np.arange(300),
     })
     right = pd.DataFrame({"ru": [f"https://site{i}.com/p" for i in range(0, 300, 3)]})
-    got = bloom_cogroup_anti_join(
+    got = cogroup_anti_join(
         rd.from_pandas(left).repartition(4), rd.from_pandas(right),
         on="u", right_on="ru", num_parts=8,
     ).to_pandas()

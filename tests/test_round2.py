@@ -653,40 +653,3 @@ def test_export_projector_sprite(ray_session, tmp_path):
     dec = ppm_decode(open(out["sprite"], "rb").read())
     grid = int(np.ceil(np.sqrt(10)))  # 4x4 grid of 8px tiles
     assert (dec["width"], dec["height"]) == (grid * 8, grid * 8)
-
-
-def test_checkpoint_stage_optout(ray_session, tmp_path):
-    """checkpoint_stages opt-out: un-checkpointed stages skip the Parquet
-    write (no stage dir) but the pipeline result is identical."""
-    import os
-
-    from fastdup_ray.pipelines.neardup import NearDupPipeline
-    from fastdup_ray.sources.pages import synthesize_pages
-
-    pages, _ = synthesize_pages(300, seed=11)
-    full_dir = tmp_path / "full"
-    part_dir = tmp_path / "part"
-    cfg_full = DedupConfig(num_partitions=4)
-    cfg_part = DedupConfig(
-        num_partitions=4,
-        checkpoint_stages=("docs", "pair_scores", "components"),
-    )
-    res_full = NearDupPipeline(cfg_full, work_dir=str(full_dir)).run(
-        rd.from_arrow(pages).repartition(4), input_token="ck", resume=False
-    )
-    res_part = NearDupPipeline(cfg_part, work_dir=str(part_dir)).run(
-        rd.from_arrow(pages).repartition(4), input_token="ck", resume=False
-    )
-    a = res_full.connected_components().to_pandas().sort_values("doc_id")
-    b = res_part.connected_components().to_pandas().sort_values("doc_id")
-    assert (a["doc_id"].to_numpy() == b["doc_id"].to_numpy()).all()
-    assert (a["component_id"].to_numpy() == b["component_id"].to_numpy()).all()
-    # skipped stages left no checkpoint; kept stages did
-    for st in ("signatures", "pairs", "shingles"):
-        assert not os.path.exists(part_dir / st / "manifest.json"), st
-    for st in ("docs", "pair_scores", "components"):
-        assert os.path.exists(part_dir / st / "manifest.json"), st
-    # config round-trips through JSON with the tuple intact
-    assert DedupConfig.from_dict(
-        __import__("json").loads(cfg_part.to_json())
-    ) == cfg_part

@@ -101,8 +101,7 @@ def main() -> None:
     def mk_pipe(tag: str) -> NearDupPipeline:
         wd = f"/dev/shm/fastdup_ray_incr_{tag}"
         shutil.rmtree(wd, ignore_errors=True)
-        # no-checkpoint config, as bench.py with BENCH_NO_CHECKPOINT=1
-        cfg = DedupConfig(num_partitions=min(64, ncpu), checkpoint_stages=())
+        cfg = DedupConfig(num_partitions=min(64, ncpu))
         return NearDupPipeline(cfg, work_dir=wd)
 
     probe0 = wait_for_healthy_host(
@@ -161,6 +160,8 @@ def main() -> None:
         "num_cpus": ncpu,
     }))
     ray.shutdown()
+    for tag in ("full", "base"):
+        shutil.rmtree(f"/dev/shm/fastdup_ray_incr_{tag}", ignore_errors=True)
 
 
 if __name__ == "__main__":
