@@ -1,12 +1,15 @@
-"""Native sign and verify kernels: `kernels.c`, built with the system C
-compiler (`cc -O3 -fPIC -shared`) on first use and loaded through ctypes.
+"""Native extract, sign and verify kernels: `kernels.c`, built with the
+system C compiler (`cc -O3 -fPIC -shared`) on first use and loaded
+through ctypes.
 
 The library goes to `_build/<source sha>-<machine>.so` beside this file,
 or, when that directory is not writable, to a per-user directory under
-`tempfile.gettempdir()`. A build writes a temporary name and
-`os.replace`s it, so processes that build at once (Ray workers) never
-load a partial file. Each process opens the library once, lazily, in
-`_lib()`: nothing that Ray pickles holds a ctypes handle.
+`tempfile.gettempdir()`. A build holds an exclusive `flock` on
+`<library>.lock` while it checks for the library and compiles it, so
+processes that start at once (Ray workers) compile it once; it writes a
+temporary name and `os.replace`s it, so no process loads a partial file.
+Each process opens the library once, lazily, in `_lib()`: nothing that
+Ray pickles holds a ctypes handle.
 
 On x86-64 `minhash` is compiled for x86-64-v4, x86-64-v3 and the
 baseline, and the loader picks the clone the CPU supports; the kernels
@@ -17,6 +20,7 @@ A failed build raises with the compiler command and its stderr.
 from __future__ import annotations
 
 import ctypes
+import fcntl
 import functools
 import hashlib
 import os
@@ -41,17 +45,21 @@ def build(out_dir: str, defines: tuple[str, ...] = ()) -> str:
     if os.path.exists(path):
         return path
     os.makedirs(out_dir, exist_ok=True)
-    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
-    cmd = ["cc", *CFLAGS, *(f"-D{d}" for d in defines), "-o", tmp, SOURCE]
-    try:
-        proc = subprocess.run(cmd, capture_output=True, text=True)
-        if proc.returncode:
-            raise RuntimeError(f"building the native kernels failed: "
-                               f"{' '.join(cmd)}\n{proc.stderr}")
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    with open(f"{path}.lock", "a") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        if os.path.exists(path):
+            return path
+        tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+        cmd = ["cc", *CFLAGS, *(f"-D{d}" for d in defines), "-o", tmp, SOURCE]
+        try:
+            proc = subprocess.run(cmd, capture_output=True, text=True)
+            if proc.returncode:
+                raise RuntimeError(f"building the native kernels failed: "
+                                   f"{' '.join(cmd)}\n{proc.stderr}")
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
     return path
 
 
@@ -73,13 +81,18 @@ _I = ctypes.c_int64
 
 
 def load(path: str) -> ctypes.CDLL:
-    """The library at `path` with its three kernels' argument types set."""
+    """The library at `path` with its kernels' argument types set."""
     lib = ctypes.CDLL(path)
     lib.shingle_hashes.argtypes = [_P, _P, _I, _I, _P]
     lib.minhash.argtypes = [_P, _P, _I, _P, _P, _I, _P]
     lib.intersect_counts.argtypes = [_P, _P, _P, _P, _P, _P, _I, _P]
-    for fn in (lib.shingle_hashes, lib.minhash, lib.intersect_counts):
+    lib.html_space_table.argtypes = [_I, _P]
+    for fn in (lib.shingle_hashes, lib.minhash, lib.intersect_counts,
+               lib.html_space_table):
         fn.restype = None
+    lib.html_text.argtypes = [_P, _P, _I, _I, _P, _P, _P, _P]
+    lib.html_events.argtypes = [_P, _I, _I, _P, _I]
+    lib.html_text.restype = lib.html_events.restype = _I
     return lib
 
 
@@ -155,3 +168,56 @@ def intersect_counts(vals_a, sa, ea, vals_b, sb, eb, lib=None) -> np.ndarray:
         vals_b.ctypes.data, sb.ctypes.data, eb.ctypes.data,
         sa.shape[0], counts.ctypes.data)
     return counts
+
+
+# html_text page status codes and html_events chunk kinds (kernels.c).
+HT_OK, HT_EMPTY, HT_DECODE, HT_NO_TEXT, HT_DEFER = range(5)
+EV_RAW, EV_UNESCAPE, EV_FLUSH = range(3)
+
+
+def html_text(data, offsets, digit_limit: int, lib=None):
+    """Extracted text of each page data[offsets[i]:offsets[i+1]] (absolute
+    offsets into the uint8 array `data`), as (text uint8[·], text_offsets
+    int64[n+1], n_chars int64[n], status int8[n]): page i's UTF-8 text is
+    text[text_offsets[i]:text_offsets[i+1]], n_chars[i] code points long,
+    and status[i] is one of the HT_* codes. Only HT_OK pages have text;
+    HT_DEFER pages keep a chunk that needs `html.unescape` (see
+    `html_events`). `digit_limit` is `sys.get_int_max_str_digits()`."""
+    data = _c(data, np.uint8)
+    offsets = _c(offsets, np.int64)
+    _check_ranges(offsets[:-1], offsets[1:], data.shape[0])
+    n = offsets.shape[0] - 1
+    out = np.empty(int(offsets[-1] - offsets[0]), dtype=np.uint8)
+    out_off = np.empty(n + 1, dtype=np.int64)
+    n_chars = np.empty(n, dtype=np.int64)
+    status = np.empty(n, dtype=np.int8)
+    if (lib or _lib()).html_text(data.ctypes.data, offsets.ctypes.data, n, digit_limit,
+                                 out.ctypes.data, out_off.ctypes.data,
+                                 n_chars.ctypes.data, status.ctypes.data):
+        raise RuntimeError("html_text wrote past its output buffer")
+    return out[: out_off[-1]], out_off, n_chars, status
+
+
+def html_events(page, digit_limit: int, lib=None):
+    """int64[m, 3] rows (kind, start, end) of the chunks the extractor
+    keeps from one page's bytes and the block ends between them (EV_*
+    kinds; chunk i is page[start:end]), or None when the page is a
+    decode error."""
+    page = _c(np.frombuffer(page, dtype=np.uint8) if isinstance(page, bytes) else page,
+              np.uint8)
+    # each kept chunk takes at least one byte and precedes at most one flush
+    ev = np.empty(6 * page.shape[0] + 6, dtype=np.int64)
+    m = (lib or _lib()).html_events(page.ctypes.data, page.shape[0], digit_limit,
+                                    ev.ctypes.data, ev.shape[0])
+    if m == -1:
+        return None
+    if m < 0:
+        raise RuntimeError("html_events wrote past its output buffer")
+    return ev[:m].reshape(-1, 3)
+
+
+def html_space_table(n: int = 0x110000, lib=None) -> np.ndarray:
+    """bool[n]: the scanner's `str.isspace` for code points 0..n-1."""
+    out = np.empty(n, dtype=np.uint8)
+    (lib or _lib()).html_space_table(n, out.ctypes.data)
+    return out.astype(bool)

@@ -1,15 +1,22 @@
-"""HTML -> text extraction stage (stateful actor pool).
+"""HTML -> text extraction stage: one native scanner call per batch.
 
 Text-native analog of the reference's image decode + validity filter
 (reference fastdup/image.py:118-141 decode/resize; invalid/too-small files
 -> features.bad.csv, definitions.py:151-153, __init__.py:519-520).
 
-The extractor is a callable CLASS for `map_batches(..., concurrency=N)`:
-parser machinery is built once per actor in __init__ (the pattern mandated
-by the input_hint for stateful stages), each __call__ handles one Arrow
-batch. The extraction itself is deterministic pure Python (stdlib
-HTMLParser) so the north-rule invariant — byte-identical `text` per url —
-holds across runs, platforms and parallelism levels.
+`HtmlExtractStage` is a plain callable for `map_batches(...,
+batch_format="pyarrow")`, run as stateless Ray tasks. It hands the whole
+batch's `html` column (Arrow data buffer and offsets) to the native
+`html_text` kernel (fastdup_ray/native/kernels.c), which reproduces
+CPython 3.11's `html.parser` parser (convert_charrefs=True, feed then
+close) driving a text extractor: the subtrees of script, style, nav,
+footer, header, aside, noscript, head and title are dropped, each p, div,
+article, section, li, h1-h4, td or pre tag closes a block, and blocks are
+joined with one newline. The kernel never
+decodes entities: a page whose kept text has a chunk with `&` is finished
+here, chunk by chunk, with `html.unescape`, as the parser does. The stdlib
+extractor is the test oracle (tests/kernel_refs.py), so the north-rule
+invariant — byte-identical `text` per url — is checked against it.
 
 Output schema (the `docs` table, SURVEY.md §1.2): doc_id int64 (stable
 63-bit hash of url, replacing the reference's listing-order dense ids), url,
@@ -20,17 +27,14 @@ binary column is dropped here so downstream blocks stay narrow
 
 from __future__ import annotations
 
-from html.parser import HTMLParser
+import sys
+from html import unescape
 
 import numpy as np
 import pyarrow as pa
 
-from fastdup_ray.functions.hashing import id63
-
-_SKIP_TAGS = frozenset(
-    {"script", "style", "nav", "footer", "header", "aside", "noscript", "head", "title"}
-)
-_BLOCK_TAGS = frozenset({"p", "div", "article", "section", "li", "h1", "h2", "h3", "h4", "td", "pre"})
+from fastdup_ray import native
+from fastdup_ray.functions.hashing import id63, string_bytes_view
 
 ERR_OK = ""
 ERR_EMPTY = "EMPTY_HTML"
@@ -38,96 +42,82 @@ ERR_DECODE = "DECODE_ERROR"
 ERR_NO_TEXT = "NO_TEXT"
 ERR_TOO_SHORT = "TOO_SHORT"
 
+# error_code strings by code: the kernel's HT_* statuses, then TOO_SHORT
+_CODES = (ERR_OK, ERR_EMPTY, ERR_DECODE, ERR_NO_TEXT)
+_TOO_SHORT = len(_CODES)
 
-class _TextExtractor(HTMLParser):
-    """Collects text from content blocks, skipping script/style/nav/footer
-    etc.; block-level elements are joined with a single newline."""
 
-    def __init__(self) -> None:
-        super().__init__(convert_charrefs=True)
-        self._skip_depth = 0
-        self._chunks: list[str] = []
-        self._block_parts: list[str] = []
+def _finish(page: bytes, digit_limit: int) -> tuple[str, int]:
+    """(text, HT_* status) of a page whose kept text needs
+    `html.unescape`: the extractor's chunks and block ends replayed."""
+    events = native.html_events(page, digit_limit)
+    if events is None:
+        return "", native.HT_DECODE
+    blocks: list[str] = []
+    parts: list[str] = []
+    for kind, start, end in events.tolist():
+        if kind == native.EV_FLUSH:
+            if parts:
+                blocks.append("".join(parts))
+                parts = []
+            continue
+        chunk = page[start:end].decode("utf-8")
+        if kind == native.EV_UNESCAPE:
+            chunk = unescape(chunk)
+            if not chunk.strip():
+                continue
+        parts.append(chunk)
+    text = "\n".join(blocks)
+    return text, native.HT_OK if text else native.HT_NO_TEXT
 
-    def handle_starttag(self, tag, attrs):
-        if tag in _SKIP_TAGS:
-            self._skip_depth += 1
-        elif tag in _BLOCK_TAGS:
-            self._flush_block()
 
-    def handle_endtag(self, tag):
-        if tag in _SKIP_TAGS and self._skip_depth > 0:
-            self._skip_depth -= 1
-        elif tag in _BLOCK_TAGS:
-            self._flush_block()
-
-    def handle_data(self, data):
-        if self._skip_depth == 0 and data.strip():
-            self._block_parts.append(data)
-
-    def _flush_block(self):
-        if self._block_parts:
-            self._chunks.append("".join(self._block_parts))
-            self._block_parts = []
-
-    def result(self) -> str:
-        self._flush_block()
-        return "\n".join(self._chunks)
+def _extract(html) -> tuple[pa.Array, np.ndarray, np.ndarray, np.ndarray]:
+    """(text string array, HT_* status int8, n_chars int64, n_bytes int64)
+    per page of a string or binary array (chunked, sliced or with nulls;
+    a null page is empty)."""
+    data, offsets = string_bytes_view(html)
+    limit = sys.get_int_max_str_digits()
+    out, out_off, n_chars, status = native.html_text(data, offsets, limit)
+    n = len(status)
+    text = pa.Array.from_buffers(
+        pa.large_string(), n, [None, pa.py_buffer(out_off), pa.py_buffer(out)]
+    ).cast(pa.string())
+    deferred = np.flatnonzero(status == native.HT_DEFER)
+    if deferred.size:
+        texts = text.to_pylist()
+        for r in deferred.tolist():
+            texts[r], status[r] = _finish(data[offsets[r]:offsets[r + 1]].tobytes(), limit)
+            n_chars[r] = len(texts[r])
+        text = pa.array(texts, pa.string())
+    return text, status, n_chars, np.diff(offsets)
 
 
 def extract_text(html_bytes: bytes) -> tuple[str, str]:
     """(text, error_code) for one page. Pure function; no I/O."""
-    if not html_bytes:
-        return "", ERR_EMPTY
-    try:
-        html = html_bytes.decode("utf-8")
-    except UnicodeDecodeError:
-        return "", ERR_DECODE
-    parser = _TextExtractor()
-    try:
-        parser.feed(html)
-        parser.close()
-    except Exception:
-        return "", ERR_DECODE
-    text = parser.result()
-    if not text:
-        return "", ERR_NO_TEXT
-    return text, ERR_OK
+    text, status, _, _ = _extract(pa.array([html_bytes or b""], pa.binary()))
+    return text[0].as_py(), _CODES[status[0]]
 
 
 class HtmlExtractStage:
-    """map_batches actor: pages batch (pyarrow) -> docs batch (pyarrow)."""
+    """map_batches callable: pages batch (pyarrow) -> docs batch (pyarrow).
+    A page with fewer than `min_text_len` characters of text keeps its text
+    and is marked TOO_SHORT."""
 
     def __init__(self, min_text_len: int = 20):
         self.min_text_len = min_text_len
-        # HTMLParser instances are rebuilt per document (they are cheap and
-        # not reusable after close()); the per-actor state here is the
-        # configuration + warmed-up module imports.
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        html_col = batch["html"]
-        urls = batch["url"].to_pylist()
-        texts: list[str] = []
-        errors: list[str] = []
-        n_bytes = np.zeros(len(urls), dtype=np.int64)
-        for i, buf in enumerate(html_col):
-            raw = buf.as_py() or b""
-            n_bytes[i] = len(raw)
-            text, err = extract_text(raw)
-            if err == ERR_OK and len(text) < self.min_text_len:
-                err = ERR_TOO_SHORT
-            texts.append(text)
-            errors.append(err)
-        is_valid = pa.array([e == ERR_OK for e in errors], pa.bool_())
-        doc_id = pa.array(id63(batch["url"]), pa.int64())
-        cols = {
-            "doc_id": doc_id,
+        text, status, n_chars, n_bytes = _extract(batch["html"])
+        codes = status.astype(np.int64)
+        codes[(status == native.HT_OK) & (n_chars < self.min_text_len)] = _TOO_SHORT
+        errors = pa.array(_CODES + (ERR_TOO_SHORT,), pa.string()).take(codes)
+        return pa.table({
+            "doc_id": pa.array(id63(batch["url"]), pa.int64()),
             "url": batch["url"],
             "warc_ts": batch["warc_ts"],
             "lang": batch["lang"],
-            "text": pa.array(texts, pa.string()),
+            "text": text,
             "n_bytes": pa.array(n_bytes, pa.int64()),
-            "error_code": pa.array(errors, pa.string()),
-            "is_valid": is_valid,
-        }
-        return pa.table({k: v for k, v in cols.items()})
+            "error_code": errors,
+            "is_valid": pa.array(codes == native.HT_OK, pa.bool_()),
+        })

@@ -1,9 +1,13 @@
-"""numpy reference implementations of the native sign and verify kernels
+"""Reference implementations of the native kernels
 (fastdup_ray/native/kernels.c): the bodies the engine ran before the C
-kernels replaced them. tests/test_kernel_properties.py checks the C
-kernels against these bit for bit."""
+kernels replaced them. tests/test_kernel_properties.py checks the sign
+and verify kernels against the numpy ones bit for bit, and
+tests/test_extract.py the HTML text kernel against the stdlib
+`HTMLParser` extractor."""
 
 from __future__ import annotations
+
+from html.parser import HTMLParser
 
 import numpy as np
 
@@ -130,3 +134,67 @@ def intersect_counts(vals_a, sa, ea, vals_b, sb, eb, chunk_elems: int = 256_000)
             inter[lo:hi][nonempty] = np.add.reduceat(eq, starts[nonempty], dtype=np.int32)
         lo = hi
     return inter
+
+
+# ------------------------------------------------------------ HTML text
+_SKIP_TAGS = frozenset(
+    {"script", "style", "nav", "footer", "header", "aside", "noscript", "head", "title"}
+)
+_BLOCK_TAGS = frozenset({"p", "div", "article", "section", "li", "h1", "h2", "h3", "h4", "td", "pre"})
+
+
+class _TextExtractor(HTMLParser):
+    """Collects text from content blocks, skipping script/style/nav/footer
+    etc.; block-level elements are joined with a single newline."""
+
+    def __init__(self) -> None:
+        super().__init__(convert_charrefs=True)
+        self._skip_depth = 0
+        self._chunks: list[str] = []
+        self._block_parts: list[str] = []
+
+    def handle_starttag(self, tag, attrs):
+        if tag in _SKIP_TAGS:
+            self._skip_depth += 1
+        elif tag in _BLOCK_TAGS:
+            self._flush_block()
+
+    def handle_endtag(self, tag):
+        if tag in _SKIP_TAGS and self._skip_depth > 0:
+            self._skip_depth -= 1
+        elif tag in _BLOCK_TAGS:
+            self._flush_block()
+
+    def handle_data(self, data):
+        if self._skip_depth == 0 and data.strip():
+            self._block_parts.append(data)
+
+    def _flush_block(self):
+        if self._block_parts:
+            self._chunks.append("".join(self._block_parts))
+            self._block_parts = []
+
+    def result(self) -> str:
+        self._flush_block()
+        return "\n".join(self._chunks)
+
+
+def extract_text(html_bytes: bytes) -> tuple[str, str]:
+    """(text, error_code) for one page with the stdlib parser: the
+    extractor `fastdup_ray.stages.extract` ran before its native kernel."""
+    if not html_bytes:
+        return "", "EMPTY_HTML"
+    try:
+        html = html_bytes.decode("utf-8")
+    except UnicodeDecodeError:
+        return "", "DECODE_ERROR"
+    parser = _TextExtractor()
+    try:
+        parser.feed(html)
+        parser.close()
+    except Exception:
+        return "", "DECODE_ERROR"
+    text = parser.result()
+    if not text:
+        return "", "NO_TEXT"
+    return text, ""

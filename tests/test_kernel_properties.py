@@ -7,6 +7,7 @@ loaded and pickled."""
 
 import functools
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -213,12 +214,18 @@ print(path, int(native.intersect_counts([1, 2, 3], [0], [3], [2, 3], [0], [2], l
 
 
 def test_concurrent_builds_into_one_directory(tmp_path):
-    """Four processes that build into one empty directory at once all
-    load the same complete file, and no temporary file is left."""
+    """Four processes that build into one empty directory at once compile
+    once (a `cc` shim first on PATH logs each call), all load the same
+    complete file, and no temporary file is left beside it and its lock."""
     out_dir = tmp_path / "build"
     go = tmp_path / "go"
+    log = tmp_path / "cc.log"
+    shim = tmp_path / "bin"
+    shim.mkdir()
+    (shim / "cc").write_text(f"#!/bin/sh\necho cc >> {log}\nexec {shutil.which('cc')} \"$@\"\n")
+    (shim / "cc").chmod(0o755)
     repo = os.path.dirname(os.path.dirname(os.path.abspath(native.__file__)))
-    env = dict(os.environ, PYTHONPATH=repo)
+    env = dict(os.environ, PYTHONPATH=repo, PATH=f"{shim}{os.pathsep}{os.environ['PATH']}")
     procs = [subprocess.Popen([sys.executable, "-c", _BUILD_AND_LOAD, str(out_dir), str(go)],
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                               env=env)
@@ -231,7 +238,9 @@ def test_concurrent_builds_into_one_directory(tmp_path):
     assert len(lines) == 1
     path, count = lines.pop().split()
     assert count == "2"
-    assert os.listdir(out_dir) == [os.path.basename(path)]
+    assert log.read_text().splitlines() == ["cc"]
+    name = os.path.basename(path)
+    assert sorted(os.listdir(out_dir)) == [name, f"{name}.lock"]
 
 
 def test_build_dir_falls_back_to_temp_when_not_writable(tmp_path, monkeypatch):

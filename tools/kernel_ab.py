@@ -1,10 +1,13 @@
-"""Kernel-layer A/B: the four sign/verify kernels of a git ref vs HEAD.
+"""Kernel-layer A/B: the extract, sign and verify kernels of a git ref vs
+HEAD.
 
 Exports <ref> with `git archive` into a temporary directory, then runs the
-same four kernels from that tree and from this checkout, each in its own
+same five kernels from that tree and from this checkout, each in its own
 single-core Python process, on the skew_longdocs pages the benchmark
 caches (perfbench/_work/cache/<version>/skew-s<seed>/full):
 
+  extract     stages.extract.HtmlExtractStage (default min_text_len) over
+              the pages: the whole docs table is compared, column by column
   hash64      functions.hashing.hash64_segmented over every whitespace token
   simhash     functions.simhash.simhash64 over every doc text
   sign        stages.signatures.SignStage (default config) over the docs
@@ -35,7 +38,7 @@ import time
 from statistics import median
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-KERNELS = ("hash64", "simhash", "sign", "verify")
+KERNELS = ("extract", "hash64", "simhash", "sign", "verify")
 
 
 def _timed(fn, repeats: int):
@@ -47,8 +50,31 @@ def _timed(fn, repeats: int):
     return median(times), out
 
 
+def _columns(name: str, table) -> dict:
+    """name.<column>.* numpy arrays that are byte-equal exactly when two
+    tables hold the same values: each column's null mask, plus its values
+    (strings and binaries as their bytes and zero-based offsets)."""
+    import numpy as np
+    import pyarrow as pa
+
+    from fastdup_ray.functions.hashing import string_bytes_view
+
+    arrays = {}
+    for col in table.column_names:
+        arr = table[col].combine_chunks()
+        key = f"{name}.{col}"
+        arrays[key + ".null"] = np.asarray(arr.is_null())
+        if pa.types.is_string(arr.type) or pa.types.is_binary(arr.type):
+            data, off = string_bytes_view(arr)
+            arrays[key + ".bytes"] = data[off[0]:off[-1]]
+            arrays[key + ".off"] = off - off[0]
+        else:
+            arrays[key] = arr.to_numpy(zero_copy_only=False)
+    return arrays
+
+
 def run_side(root: str, pages_dir: str, out: str, repeats: int) -> None:
-    """Child process: run the four kernels from `root`'s fastdup_ray and
+    """Child process: run the five kernels from `root`'s fastdup_ray and
     save outputs (npz) and timings (json) under the `out` prefix."""
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
@@ -66,7 +92,9 @@ def run_side(root: str, pages_dir: str, out: str, repeats: int) -> None:
     from fastdup_ray.stages.verify import _exact_scores_block
 
     cfg = DedupConfig()
-    docs = HtmlExtractStage(cfg.min_text_len)(pq.read_table(pages_dir))
+    pages = pq.read_table(pages_dir)
+    extract = HtmlExtractStage(cfg.min_text_len)
+    docs = extract(pages)
     docs = docs.filter(docs["is_valid"])
     texts = docs["text"]
     toks = pa.array([t for doc in texts.to_pylist() for t in doc.split()], pa.string())
@@ -86,6 +114,7 @@ def run_side(root: str, pages_dir: str, out: str, repeats: int) -> None:
         return res
 
     runs = {
+        "extract": (pages.num_rows, lambda: extract(pages)),
         "hash64": (tok_off.size - 1, lambda: hash64_segmented(tok_data, tok_off)),
         "simhash": (len(texts), lambda: simhash64(texts)),
         "sign": (docs.num_rows, lambda: sign(docs)),
@@ -96,7 +125,9 @@ def run_side(root: str, pages_dir: str, out: str, repeats: int) -> None:
         rows, fn = runs[name]
         secs, res = _timed(fn, repeats)
         rates[name] = rows / secs
-        if name == "sign":
+        if name == "extract":
+            outputs.update(_columns(name, res))
+        elif name == "sign":
             ids, sig = signatures_to_matrix(res)
             so, sv = list_column_arrays(res["shingles"])
             outputs.update({
