@@ -101,9 +101,8 @@ def run_bench() -> dict:
     # penalize only the high-parallelism run (~11 s of non-scaling IO)
     work_dir = f"/dev/shm/fastdup_ray_bench_{ncpu}"
     shutil.rmtree(work_dir, ignore_errors=True)
-    # the library's one signer, classic 128-permutation MinHash, as in
-    # the perfbench gate
-    cfg = DedupConfig(num_partitions=min(64, ncpu))
+    # the library defaults, as in the perfbench gate
+    cfg = DedupConfig()
     pipe = NearDupPipeline(cfg, work_dir=work_dir)
 
     probe = wait_for_healthy_host(

@@ -140,7 +140,7 @@ def main() -> None:
         df["shard"] = prefix // TOKEN_BUDGET
         return df.drop(columns=["_bk"]).reset_index(drop=True)
 
-    sharded = partitioned_groupby(toked, "_bk", pack, num_parts=64)
+    sharded = partitioned_groupby(toked, "_bk", pack)
     sharded.write_parquet(out_dir, partition_cols=["shard"])
 
     n_in = docs.count()

@@ -131,9 +131,7 @@ def main(argv=None) -> int:
         if args.out:
             from fastdup_ray.pipelines.sinks import write_dedup_corpus
 
-            summary["dedup"] = write_dedup_corpus(
-                res, args.out, num_partitions=base.cfg.num_partitions
-            )
+            summary["dedup"] = write_dedup_corpus(res, args.out)
         print(json.dumps(summary))
         ray.shutdown()
         return 0
@@ -173,7 +171,7 @@ def main(argv=None) -> int:
     if out:
         from fastdup_ray.pipelines.sinks import write_dedup_corpus
 
-        summary["dedup"] = write_dedup_corpus(res, out, num_partitions=cfg.num_partitions)
+        summary["dedup"] = write_dedup_corpus(res, out)
     print(json.dumps(summary))
     ray.shutdown()
     return 0

@@ -4,6 +4,10 @@ Analog of the reference's ``config.json`` run-parameter snapshot
 (reference: fastdup/__init__.py:231-247, fastdup_controller.py:816-842) —
 every parameter that affects results is captured here, serialized into the
 work_dir manifest, and folded into each stage's resume fingerprint.
+Partition counts and plan thresholds are not fields: the exchange derives
+its width from its input blocks and the cluster's CPUs, and the
+broadcast and driver-finish bounds are module constants, so running on
+another cluster never discards a checkpoint whose output is identical.
 
 Defaults mirror the reference's thresholds where a text-native analog
 exists: similarity threshold 0.9 (reference __init__.py:481), component
@@ -20,6 +24,11 @@ import hashlib
 import json
 from dataclasses import dataclass
 
+# doc_id/string-hash algorithm version: folded into every stage
+# fingerprint and recorded in every manifest, so checkpoints made with a
+# different hash are never resumed or loaded
+HASH_VERSION = 2
+
 
 @dataclass(frozen=True)
 class DedupConfig:
@@ -29,9 +38,6 @@ class DedupConfig:
     num_bands: int = 16            # LSH bands
     rows_per_band: int = 8         # minhash rows per band (num_bands*rows_per_band == num_perms)
     seed: int = 42                 # seeds the permutation matrix (deterministic)
-    hash_version: int = 2          # doc_id/string-hash algorithm version; folded
-                                   # into every stage fingerprint so checkpoints
-                                   # from a different hash can never be reused
 
     # --- thresholds (reference parity) ---
     threshold: float = 0.9         # similarity edge cutoff (est. Jaccard)
@@ -67,14 +73,6 @@ class DedupConfig:
 
     # --- execution knobs ---
     batch_size: int = 1024         # rows per batch for signature/extract stages
-    num_partitions: int = 32       # hash-join / shuffle partition count
-    cc_max_rounds: int = 50        # safety bound on star-contraction rounds
-    # below this many edges, connected components finishes with a
-    # driver-side union-find instead of iterative shuffle rounds — the
-    # post-threshold edge set is a tiny fraction of the corpus, and each
-    # distributed round costs three shuffles of fixed latency. Above the
-    # threshold (the 10^12-doc regime) star contraction runs.
-    cc_driver_max_edges: int = 5_000_000
 
     def __post_init__(self) -> None:
         if self.num_bands * self.rows_per_band != self.num_perms:
@@ -99,10 +97,11 @@ class DedupConfig:
         """Stable fingerprint of this config plus extra context strings.
 
         Used as the stage resume key: a checkpoint is only reused when the
-        config AND the upstream fingerprints are unchanged (SURVEY.md §7.4
-        "Resume correctness").
+        config, `HASH_VERSION` AND the upstream fingerprints are unchanged
+        (SURVEY.md §7.4 "Resume correctness").
         """
         h = hashlib.sha256(self.to_json().encode())
+        h.update(f"\x00hash_version={HASH_VERSION}".encode())
         for p in parts:
             h.update(b"\x00")
             h.update(p.encode())

@@ -213,14 +213,11 @@ def similarity_gallery(result, num_rows: int = 20, k: int = 5, *,
 
     per_doc = partitioned_groupby(
         scores.map_batches(sym, batch_format="pyarrow"), "node", knn,
-        num_parts=result.cfg.num_partitions,
     )
     if labels is not None:
         from fastdup_ray.stages.metrics import neighbor_label_agreement
 
-        scored = neighbor_label_agreement(
-            scores, labels, num_parts=result.cfg.num_partitions
-        ).limit(num_rows).take_all()
+        scored = neighbor_label_agreement(scores, labels).limit(num_rows).take_all()
         keep = {int(r["doc_id"]) for r in scored}
         # filter inside the Dataset — per_doc is corpus-sized, the kept
         # head is num_rows; collecting it all was a driver scale bug

@@ -45,7 +45,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from fastdup_ray.config import DedupConfig
+from fastdup_ray.config import HASH_VERSION, DedupConfig
 from fastdup_ray.relational.ops import (
     _as_arrow,
     block_meta,
@@ -145,7 +145,7 @@ def _reuse_or_verify(scores: pa.Table, pairs: pa.Table):
             join_tables(pairs, scores, lks=keys, rks=keys, join_type="anti"))
 
 
-def _split_scored_pairs(pairs, scores, *, num_parts: int = 32):
+def _split_scored_pairs(pairs, scores):
     """(reused, to_verify): one (src,dst)-keyed hash exchange
     (`ops.cogroup`) splitting candidate `pairs` against already-scored
     `scores`.
@@ -161,7 +161,7 @@ def _split_scored_pairs(pairs, scores, *, num_parts: int = 32):
     keys = ["src", "dst"]
     # a partition without pairs has nothing to reuse or verify
     reused, to_verify = cogroup([scores, pairs], [keys, keys], _reuse_or_verify,
-                                num_parts=num_parts, required=(1,), num_outputs=2)
+                                required=(1,), num_outputs=2)
     return reused, to_verify
 
 
@@ -243,7 +243,7 @@ class NearDupPipeline:
                 for r in nonempty_block_refs(scores)]
         metas = ray.get([o[0] for o in outs])
         edges = from_block_refs([(o[1], m) for o, m in zip(outs, metas)]) if outs else scores
-        return connected_components(edges, self.cfg)
+        return connected_components(edges)
 
     # ------------------------------------------------------------------ stages
     def _stage(self, name: str, upstream_fps: list[str], build, *, resume: bool = True):
@@ -315,7 +315,7 @@ class NearDupPipeline:
             "write_s": None,
             "data_dir": f"data-{fp}",
             "files": None,
-            "config": self.cfg.to_dict(),
+            "config": dict(self.cfg.to_dict(), hash_version=HASH_VERSION),
         }
         commit = remote_fn(_commit_stage).remote(
             self._fs, stage_root, manifest, names, t_w, *writes)
@@ -373,7 +373,9 @@ class NearDupPipeline:
         The loaded result can seed `run_incremental` (pass the base
         manifest fingerprint as base_token for resume-safe increments).
         A work_dir whose manifests record a signer other than "minhash"
-        (one-permutation hashing, no longer supported) raises ValueError.
+        (one-permutation hashing, no longer supported) or a hash version
+        other than `HASH_VERSION` (none recorded is version 1) raises
+        ValueError.
         """
         pipe = None
         tables = {}
@@ -395,6 +397,14 @@ class NearDupPipeline:
                 raise ValueError(
                     f"{work_dir} was signed with signer {signer!r}; this "
                     f"version signs with classic MinHash only — re-run it"
+                )
+            # doc ids and bucket keys of another string hash never match
+            # this version's
+            version = snapshot.get("hash_version", 1)
+            if version != HASH_VERSION:
+                raise ValueError(
+                    f"{work_dir} was hashed with hash version {version}; this "
+                    f"version hashes with version {HASH_VERSION} — re-run it"
                 )
             if pipe is None:
                 # from_dict ignores keys of fields this version no longer has
@@ -573,9 +583,7 @@ class NearDupPipeline:
         # whose pair was NOT re-emitted are dropped — the full run would
         # never have scored them (star centers shift when new docs join a
         # capped bucket).
-        reused, to_verify = _split_scored_pairs(
-            pairs_n, base.pair_scores(), num_parts=cfg.num_partitions
-        )
+        reused, to_verify = _split_scored_pairs(pairs_n, base.pair_scores())
         scores_n, fp_scn = self._stage(
             "pair_scores_incr", [fp_pn, base_token],
             lambda: verify_pairs(to_verify, sigs_all, docs_all, cfg),
@@ -674,7 +682,6 @@ class NearDupResult:
 
         return partitioned_groupby(
             self.connected_components(), "component_id", to_lists,
-            num_parts=self.cfg.num_partitions,
         )
 
     def outliers(self, include_unmatched: bool = True):
@@ -701,7 +708,7 @@ class NearDupResult:
 
         best = partitioned_groupby(
             self._scores.map_batches(_symmetrize_scores, batch_format="pyarrow"),
-            "node", best_row, num_parts=self.cfg.num_partitions,
+            "node", best_row,
         ).materialize()
         n_best = best.count()
         out_schema = {"src": pa.int64(), "dst": pa.int64(), "distance": pa.float64()}
@@ -729,7 +736,6 @@ class NearDupResult:
         )
         unmatched = cogroup_anti_join(
             valid, best, on="doc_id", right_on="node",
-            num_parts=self.cfg.num_partitions,
         ).map_batches(
             lambda b: pa.table(
                 {
@@ -790,7 +796,6 @@ class NearDupResult:
         side = self._docs.select_columns(["doc_id", "url", "warc_ts"])
         labeled = hash_join(
             self.connected_components(), side, on="doc_id", right_on="doc_id",
-            num_partitions=self.cfg.num_partitions,
         )
         if policy == "majority":
             if labels is None:
@@ -799,16 +804,13 @@ class NearDupResult:
                 labeled.materialize(),
                 labels.rename_columns({"doc_id": "ldoc"}),
                 on="doc_id", right_on="ldoc",
-                num_partitions=self.cfg.num_partitions,
             )
 
-        return keep_decisions(
-            labeled, policy, num_parts=self.cfg.num_partitions
-        )
+        return keep_decisions(labeled, policy)
 
 
 def keep_decisions(labeled, policy: str, *, order_cols=("warc_ts", "url"),
-                   label_col: str = "label", num_parts: int = 32):
+                   label_col: str = "label"):
     """Shared D4/D5 keep/drop decision kernel over an arbitrary
     component-labeled table (used by NearDupResult.keep_table and the
     oracled majority_keep catalog query).
@@ -849,8 +851,7 @@ def keep_decisions(labeled, policy: str, *, order_cols=("warc_ts", "url"),
             }
         )
 
-    return partitioned_groupby(labeled, "component_id", decide,
-                               num_parts=num_parts)
+    return partitioned_groupby(labeled, "component_id", decide)
 
 
 def _symmetrize_scores(batch: pa.Table) -> pa.Table:

@@ -235,7 +235,7 @@ def q_recent_events(sf_dir: str):
         g["value_sum"] = np.round(g["value_sum"], 4)
         return g
 
-    return partitioned_groupby(recent, "event_type", agg, num_parts=8)
+    return partitioned_groupby(recent, "event_type", agg)
 
 
 SQL_RECENT_EVENTS = """
@@ -558,7 +558,7 @@ def q_minhash_components(sf_dir: str, threshold: float = 0.9):
         lambda b: b.filter(pc.greater_equal(b["distance"], pa.scalar(threshold))),
         batch_format="pyarrow",
     )
-    labels = connected_components(edges, cfg)
+    labels = connected_components(edges)
     return labels.rename_columns({"node": "doc_id", "label": "component_id"})
 
 
@@ -1909,7 +1909,7 @@ def q_pagerank(sf_dir: str):
         ),
         "bucket", make_emit_partition(max_bucket_pairs=1_000_000),
     )
-    return pagerank(pairs, DedupConfig())
+    return pagerank(pairs)
 
 
 SQL_PAGERANK = """
@@ -2060,11 +2060,11 @@ def q_stats_filtered_dups(sf_dir: str, min_tokens: int = 40):
     pairs = with_schema(pairs, {"src": pa.int64(), "dst": pa.int64()})
     j = hash_join(
         pairs, toks.rename_columns({"n_tokens": "src_tokens"}),
-        on="src", right_on="doc_id", num_partitions=8,
+        on="src", right_on="doc_id",
     ).materialize()  # chained lazy acero joins trip field resolution (ray 2.49)
     j = hash_join(
         j, toks.rename_columns({"n_tokens": "dst_tokens"}),
-        on="dst", right_on="doc_id", num_partitions=8,
+        on="dst", right_on="doc_id",
     )
 
     def keep(batch: pa.Table) -> pa.Table:
@@ -2128,7 +2128,7 @@ def q_component_majority_label(sf_dir: str):
         _t(sf_dir, "documents", ["doc_id", "text", "lang"]).map_batches(
             keyed, batch_format="pyarrow"
         ),
-        "bucket", vote, num_parts=8,
+        "bucket", vote,
     )
 
 
@@ -2185,10 +2185,9 @@ def q_majority_keep(sf_dir: str):
         _t(sf_dir, "documents", ["doc_id", "text", "lang"]).map_batches(
             keyed, batch_format="pyarrow"
         ),
-        "bucket", comps, num_parts=8,
+        "bucket", comps,
     )
-    return keep_decisions(labeled, "majority", order_cols=("doc_id",),
-                          num_parts=8)
+    return keep_decisions(labeled, "majority", order_cols=("doc_id",))
 
 
 SQL_MAJORITY_KEEP = """
@@ -2526,7 +2525,7 @@ def q_top_docs_per_source(sf_dir: str, k: int = 2):
         out["rank"] = out.groupby("source", sort=False).cumcount() + 1
         return out[["source", "rank", "doc_id", "n_chars"]]
 
-    out = partitioned_groupby(ds, "source", topk, num_parts=16)
+    out = partitioned_groupby(ds, "source", topk)
     from fastdup_ray.relational.ops import with_schema
 
     return with_schema(
@@ -3377,8 +3376,11 @@ def queries():
     # and join kernel (customers_without_events has since moved from the
     # deleted Bloom-prefiltered anti-join to cogroup_anti_join), and
     # substring_dup_pairs (its code changed when the sampled anchor rule
-    # was deleted; it runs the winnow anchors, as before).  The rest of
-    # the window is padded with the
+    # was deleted; it runs the winnow anchors, as before), and the four
+    # queries that passed a partition count of their own before the hash
+    # exchange took its width from its input blocks and the cluster's
+    # CPUs (four exchange-free padding queries moved out for them).  The
+    # rest of the window is padded with the
     # cheapest queries that already hold two rounds of driver evidence.
     # Rotate again next round so every query gets a driver row within two
     # rounds.  Local full-catalog sweep: tools/correctness_dryrun.py.
@@ -3418,11 +3420,13 @@ def queries():
         "customers_without_events": q_customers_without_events,
         "outliers": q_outliers,
         "hierarchical_components": q_hierarchical_components,
-        # --- 19 cheapest already-driver-green queries (window padding) ---
-        "word_repetition_stats": q_word_repetition_stats,
-        "contamination_ngrams": q_contamination_ngrams,
+        # --- 4 queries that passed their own partition count ---
+        "top_docs_per_source": q_top_docs_per_source,
+        "recent_events": q_recent_events,
+        "majority_keep": q_majority_keep,
+        "stats_filtered_dups": q_stats_filtered_dups,
+        # --- 15 cheapest already-driver-green queries (window padding) ---
         "source_topk": q_source_topk,
-        "lang_summary": q_lang_summary,
         "exact_dup_components": q_exact_dup_components,
         "prefix_dup_pairs": q_prefix_dup_pairs,
         "kmeans_assign": q_kmeans_assign,
@@ -3432,14 +3436,16 @@ def queries():
         "dedup_survivors": q_dedup_survivors,
         "dup_size_histogram": q_dup_size_histogram,
         "lang_confusion": q_lang_confusion,
-        "chars_p90": q_chars_p90,
         "pagerank": q_pagerank,
         "component_majority_label": q_component_majority_label,
         "token_pack_shards": q_token_pack_shards,
         "hll_distinct_grams": q_hll_distinct_grams,
         "ivf_probe_topk": q_ivf_probe_topk,
         # --- beyond the driver window (driver rows banked r1-r4) ---
-        "top_docs_per_source": q_top_docs_per_source,
+        "word_repetition_stats": q_word_repetition_stats,
+        "contamination_ngrams": q_contamination_ngrams,
+        "lang_summary": q_lang_summary,
+        "chars_p90": q_chars_p90,
         "doc_stats": q_doc_stats,
         "text_quality": q_text_quality,
         "bpe_token_counts": q_bpe_token_counts,
@@ -3449,13 +3455,10 @@ def queries():
         "pricing_summary": q_pricing_summary,
         "customer_revenue_topk": q_customer_revenue_topk,
         "ann_topk": q_ann_topk,
-        "recent_events": q_recent_events,
-        "majority_keep": q_majority_keep,
         "sessionize": q_sessionize,
         "ann_ivf_topk": q_ann_ivf_topk,
         "benchmark_contamination": q_benchmark_contamination,
         "doc_embeddings": q_doc_embeddings,
-        "stats_filtered_dups": q_stats_filtered_dups,
         "label_score": q_label_score,
         "domain_pair_summary": q_domain_pair_summary,
         "embedding_lsh_pairs": q_embedding_lsh_pairs,

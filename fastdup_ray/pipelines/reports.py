@@ -34,7 +34,7 @@ def _domain_of(url: str) -> str:
         return "unknown"
 
 
-def domain_pair_summary(result, *, num_partitions: int = 32):
+def domain_pair_summary(result):
     """Similarity edges aggregated to domain pairs: intra-domain edges are
     dropped; per (domain_a, domain_b) the best edge distance and the edge
     count are kept, strongest first."""
@@ -54,12 +54,12 @@ def domain_pair_summary(result, *, num_partitions: int = 32):
     edges = hash_join(
         result.similarity().materialize(),
         domains.rename_columns({"doc_id": "d1", "domain": "domain_src"}),
-        on="src", right_on="d1", num_partitions=num_partitions,
+        on="src", right_on="d1",
     ).materialize()
     edges = hash_join(
         edges,
         domains.rename_columns({"doc_id": "d2", "domain": "domain_dst"}),
-        on="dst", right_on="d2", num_partitions=num_partitions,
+        on="dst", right_on="d2",
     )
 
     # canonicalize BEFORE the shuffle: the two orientations of a domain
@@ -85,9 +85,7 @@ def domain_pair_summary(result, *, num_partitions: int = 32):
         )
         return g
 
-    return partitioned_groupby(
-        edges, ["domain_a", "domain_b"], summarize, num_parts=num_partitions
-    )
+    return partitioned_groupby(edges, ["domain_a", "domain_b"], summarize)
 
 
 def write_html_report(result, path: str, *, top_k: int = 20) -> str:

@@ -31,7 +31,7 @@ def write_corpus(ds, out_dir: str, *, max_rows_per_file: int = 100_000) -> dict:
     return manifest
 
 
-def write_dedup_corpus(result, out_dir: str, *, num_partitions: int = 32) -> dict:
+def write_dedup_corpus(result, out_dir: str) -> dict:
     """result: NearDupResult. Writes:
         out_dir/pages_dedup/   the kept docs (drop non-canonical cluster members)
         out_dir/decisions/     (doc_id, keep, component_id) audit table
@@ -43,7 +43,6 @@ def write_dedup_corpus(result, out_dir: str, *, num_partitions: int = 32) -> dic
     joined = hash_join(
         docs, keep.rename_columns({"doc_id": "kdoc"}),
         on="doc_id", right_on="kdoc", join_type="left_outer",
-        num_partitions=num_partitions,
     )
 
     def keep_filter(batch: pa.Table) -> pa.Table:

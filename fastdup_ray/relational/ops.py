@@ -19,10 +19,12 @@ import pyarrow as pa
 # needs rows of to produce any output
 _JOIN_TYPES = {"inner": (0, 1), "left_outer": (0,), "full_outer": ()}
 
+# hash_join broadcasts a right side of at most this many rows and bytes
+_BROADCAST_ROWS = 4_000_000
+_BROADCAST_BYTES = 128 << 20
 
-def hash_join(left, right, *, on, right_on=None, join_type: str = "inner",
-              num_partitions: int = 32,
-              broadcast_bytes: int = 128 << 20, broadcast_rows: int = 4_000_000):
+
+def hash_join(left, right, *, on, right_on=None, join_type: str = "inner"):
     """Equi-join of two Datasets: "inner", "left_outer" or "full_outer".
 
     Output columns follow `Dataset.join`: the left columns (the left key
@@ -34,12 +36,11 @@ def hash_join(left, right, *, on, right_on=None, join_type: str = "inner",
     Two plans, one kernel (`join_tables`):
 
     - broadcast (inner and left_outer): when the right side's observed
-      rows and bytes fit `broadcast_rows` and `broadcast_bytes`, one
+      rows and bytes fit `_BROADCAST_ROWS` and `_BROADCAST_BYTES`, one
       task per left block joins it against every right block, with no
       exchange;
     - otherwise both sides go through the hash exchange (`cogroup`),
-      P = min(num_partitions, non-empty input blocks), one join per
-      partition.
+      one join per partition.
 
     Both sides are materialized first; the result is materialized, with
     no zero-row blocks (an empty result is one zero-row block with the
@@ -60,12 +61,12 @@ def hash_join(left, right, *, on, right_on=None, join_type: str = "inner",
     rblocks = nonempty_blocks(right)
     r_rows = sum(m.num_rows or 0 for _, m in rblocks)
     r_bytes = sum(m.size_bytes or 0 for _, m in rblocks)
-    if join_type != "full_outer" and r_rows <= broadcast_rows and r_bytes <= broadcast_bytes:
+    if (join_type != "full_outer" and r_rows <= _BROADCAST_ROWS
+            and r_bytes <= _BROADCAST_BYTES):
         rrefs = [ref for ref, _ in rblocks]
         parts = [[[ref], rrefs] for ref in nonempty_block_refs(left)]
         return _reduce_parts(kernel, schemas, parts, required)[0]
-    return cogroup([left, right], [lks, rks], kernel, num_parts=num_partitions,
-                   required=required)[0]
+    return cogroup([left, right], [lks, rks], kernel, required=required)[0]
 
 
 _ARROW_JOIN_TYPES = {"inner": "inner", "left_outer": "left outer",
@@ -411,8 +412,21 @@ def _reduce_parts(apply_fn, schemas: list, parts: list, required=(),
     return datasets
 
 
-def cogroup(datasets: list, keys: list, apply_fn, *, num_parts: int = 64,
-            required=(), num_outputs: int = 1) -> list:
+def exchange_width(num_blocks: int) -> int:
+    """P, the partition count of one exchange over `num_blocks` non-empty
+    input blocks: min(num_blocks, the cluster's CPUs), at least 1.
+
+    Every split slice and reduce task has a fixed scheduling and worker
+    cost, so P above the block count only adds tasks on small inputs
+    (the block count is also what Ray's own sort shuffle keeps), and P
+    above the CPU count only queues reduce tasks behind each other."""
+    import ray
+
+    return max(1, min(num_blocks, int(ray.cluster_resources()["CPU"])))
+
+
+def cogroup(datasets: list, keys: list, apply_fn, *, required=(),
+            num_outputs: int = 1) -> list:
     """The hash exchange on plain Ray tasks, over one or more inputs:
     every row of a key of every input meets in one `apply_fn` call.
 
@@ -426,10 +440,9 @@ def cogroup(datasets: list, keys: list, apply_fn, *, num_parts: int = 64,
       and calls apply_fn(*tables) once (see `_reduce_parts` for which
       partitions run and what an empty result is).
 
-    P = min(num_parts, number of non-empty input blocks), the block
-    count Ray's own sort shuffle keeps: every split slice and reduce
-    task has a fixed scheduling and worker cost, so a fixed larger P
-    only adds tasks on small inputs.
+    P = `exchange_width(non-empty input blocks)`: at most the block
+    count and at most the cluster's CPU count, read after the inputs are
+    materialized. Outputs do not depend on P beyond row and block order.
 
     apply_fn returns `num_outputs` Arrow tables (one table, or a
     tuple); the result is a list of one Dataset per output.
@@ -437,7 +450,7 @@ def cogroup(datasets: list, keys: list, apply_fn, *, num_parts: int = 64,
     mats = [materialized(ds) for ds in datasets]
     schemas = [_arrow_schema(m) for m in mats]
     refs = [nonempty_block_refs(m) for m in mats]
-    nparts = max(1, min(int(num_parts), sum(len(r) for r in refs)))
+    nparts = exchange_width(sum(len(r) for r in refs))
     parts = [refs] if nparts == 1 else _split_blocks(list(zip(refs, keys)), nparts)
     # hold no reference to the input blocks past the submission of the
     # tasks that read them, so input, slices and output are not all
@@ -454,15 +467,15 @@ def remote_fn(fn):
     return ray.remote(fn)
 
 
-def partitioned_groupby(ds, keys, apply_fn, *, num_parts: int = 64,
-                        batch_format: str = "pandas"):
+def partitioned_groupby(ds, keys, apply_fn, *, batch_format: str = "pandas"):
     """High-cardinality groupby: hash-partition by `keys`, then run ONE
     vectorized `apply_fn` call per partition.
 
     Ray's built-in `groupby(...).aggregate(...)` finalizes per GROUP in
     Python (~20us/group): at millions of distinct keys that is minutes
     (measured: 8M-key Count = 183s on 8 cpus). Here it is the one-input
-    form of the hash exchange (`cogroup`).
+    form of the hash exchange (`cogroup`), which sizes its own partition
+    count from the input's blocks and the cluster's CPUs.
 
     Every row of a key lands in exactly one partition, so any per-key
     aggregation is exact. The call returns a materialized Dataset with
@@ -482,7 +495,7 @@ def partitioned_groupby(ds, keys, apply_fn, *, num_parts: int = 64,
     if not nonempty_block_refs(mat) and empty_table(mat).num_columns == 0:
         return mat
     fn = functools.partial(_apply_groups, apply_fn, batch_format)
-    return cogroup([mat], [_key_list(keys)], fn, num_parts=num_parts)[0]
+    return cogroup([mat], [_key_list(keys)], fn)[0]
 
 
 def _arrow_schema(mat) -> pa.Schema:
@@ -596,14 +609,14 @@ def drop_empty_blocks(ds):
     return from_block_refs(blocks)
 
 
-def distinct(ds, keys, *, num_parts: int = 64):
+def distinct(ds, keys):
     """Exact distinct over arbitrary-cardinality keys (partitioned)."""
     keys_l = [keys] if isinstance(keys, str) else list(keys)
 
     def dd(df):
         return df[keys_l].drop_duplicates()
 
-    return partitioned_groupby(ds, keys_l, dd, num_parts=num_parts)
+    return partitioned_groupby(ds, keys_l, dd)
 
 
 def broadcast_semi_join(ds, key: str, key_set, *, keep: bool = True):
@@ -728,7 +741,7 @@ def _canon_block(block, cols: dict, rename: dict):
     return block_meta(t), t
 
 
-def cogroup_anti_join(left, right, *, on, right_on=None, num_parts: int = 64):
+def cogroup_anti_join(left, right, *, on, right_on=None):
     """Left rows whose `on` key (a column, or a tuple of them) has NO
     match in right's `right_on` — the shuffle anti-join (J5). Both sides
     go through the hash exchange (`cogroup`), so it scales past the
@@ -739,12 +752,11 @@ def cogroup_anti_join(left, right, *, on, right_on=None, num_parts: int = 64):
     rks = _key_list(right_on) if right_on is not None else lks
     kernel = functools.partial(join_tables, lks=lks, rks=rks, join_type="anti")
     return cogroup([left, right.select_columns(rks)], [lks, rks], kernel,
-                   num_parts=num_parts, required=(0,))[0]
+                   required=(0,))[0]
 
 
 def asof_join(left, right, *, on: str, right_on: str, by: str, right_by: str,
-              tiebreak: list | None = None, num_parts: int = 64,
-              keep_unmatched: bool = False):
+              tiebreak: list | None = None, keep_unmatched: bool = False):
     """Distributed backward as-of join: for each left row, the single
     right row with the greatest `right_on` <= left `on` within the same
     `by`/`right_by` key — the time-series join the Dataset API lacks
@@ -769,7 +781,7 @@ def asof_join(left, right, *, on: str, right_on: str, by: str, right_by: str,
         _asof_tables, on=on, right_on=right_on, by=by, right_by=right_by,
         tiebreak=list(tiebreak or []), keep_unmatched=keep_unmatched,
     )
-    return cogroup([left, right], [[by], [right_by]], fold, num_parts=num_parts,
+    return cogroup([left, right], [[by], [right_by]], fold,
                    required=(0,) if keep_unmatched else (0, 1))[0]
 
 

@@ -74,7 +74,7 @@ def brute_force_topk(ds, query_ids, query_matrix, k: int = 10, *,
         return df.groupby("query_id", sort=False).head(k)
 
     scored = ds.map_batches(score, batch_format="pyarrow")
-    return partitioned_groupby(scored, "query_id", final_topk, num_parts=16)
+    return partitioned_groupby(scored, "query_id", final_topk)
 
 
 def train_ivf_centroids(ds, n_centroids: int, *, embedding_col: str = "embedding",
@@ -347,8 +347,7 @@ def kmeans_assignments(ds, centroids: np.ndarray, *,
     return ds.map_batches(assign, batch_format="pyarrow")
 
 
-def cluster_label_vote(assignments, labels, *, num_parts: int = 32,
-                       min_count: int = 1):
+def cluster_label_vote(assignments, labels, *, min_count: int = 1):
     """A6 KMeans-cluster majority label (reference __init__.py:2634-2679):
     per cluster, the most frequent label (ties -> lexicographically
     smallest), vote count and purity. assignments: (vec_id, cluster);
@@ -360,7 +359,7 @@ def cluster_label_vote(assignments, labels, *, num_parts: int = 32,
     joined = hash_join(
         assignments.select_columns(["vec_id", "cluster"]),
         labels.rename_columns({"vec_id": "lvec"}),
-        on="vec_id", right_on="lvec", num_partitions=num_parts,
+        on="vec_id", right_on="lvec",
     )
 
     def vote(df: pd.DataFrame) -> pd.DataFrame:
@@ -378,7 +377,7 @@ def cluster_label_vote(assignments, labels, *, num_parts: int = 32,
             rows, columns=["cluster", "label", "votes", "purity"]
         )
 
-    return partitioned_groupby(joined, "cluster", vote, num_parts=num_parts)
+    return partitioned_groupby(joined, "cluster", vote)
 
 
 def ivf_topk(assigned, centroids: np.ndarray, query_ids, query_matrix,
@@ -424,7 +423,7 @@ def ivf_topk(assigned, centroids: np.ndarray, query_ids, query_matrix,
         return df.groupby("query_id", sort=False).head(k)
 
     scored = assigned.map_batches(score, batch_format="pyarrow")
-    return partitioned_groupby(scored, "query_id", final_topk, num_parts=16)
+    return partitioned_groupby(scored, "query_id", final_topk)
 
 
 def cosine_dup_pairs(ds, *, threshold: float = 0.4,

@@ -26,7 +26,7 @@ ERR_MISSING_ANNOTATION = "MISSING_ANNOTATION"
 ERR_MISSING_DOC = "MISSING_DOC"
 
 
-def expand_annotations(docs, annotations, *, num_partitions: int = 32):
+def expand_annotations(docs, annotations):
     """Full-outer reconciliation of docs (doc_id, url, ...) with a user
     annotation Dataset (url, label[, split]) -> Dataset
     (url, doc_id, label, split, annot_error).
@@ -37,7 +37,6 @@ def expand_annotations(docs, annotations, *, num_partitions: int = 32):
     right = annotations.rename_columns({"url": "a_url"})
     joined = hash_join(
         left, right, on="url", right_on="a_url", join_type="full_outer",
-        num_partitions=num_partitions,
     )
 
     def finish(batch: pa.Table) -> pa.Table:
@@ -110,7 +109,7 @@ def slice_two_labels(ds, col_a: str, col_b: str, *, mode: str = "same"):
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
-def find_top_components(components, k: int = 20, *, num_partitions: int = 32):
+def find_top_components(components, k: int = 20):
     """O3 analog: largest components first -> (component_id, count), top k.
 
     components: Dataset (doc_id, component_id)."""
@@ -119,13 +118,11 @@ def find_top_components(components, k: int = 20, *, num_partitions: int = 32):
         g = df.groupby("component_id", as_index=False, sort=False).size()
         return g.rename(columns={"size": "count"})
 
-    sized = partitioned_groupby(components, "component_id", counts,
-                                num_parts=num_partitions)
+    sized = partitioned_groupby(components, "component_id", counts)
     return sized.sort(["count", "component_id"], descending=[True, False]).limit(k)
 
 
-def component_label_vote(components, labeled_docs, *, num_partitions: int = 32,
-                         min_count: int = 1):
+def component_label_vote(components, labeled_docs, *, min_count: int = 1):
     """A5 top_k_label majority vote (reference __init__.py:2490-2539):
     per component, the most frequent label (ties -> lexicographically
     smallest), its count and purity.
@@ -133,7 +130,7 @@ def component_label_vote(components, labeled_docs, *, num_partitions: int = 32,
     labeled_docs: Dataset (doc_id, label)."""
     joined = hash_join(
         components, labeled_docs.rename_columns({"doc_id": "ldoc"}),
-        on="doc_id", right_on="ldoc", num_partitions=num_partitions,
+        on="doc_id", right_on="ldoc",
     )
 
     def vote(df: pd.DataFrame) -> pd.DataFrame:
@@ -151,8 +148,7 @@ def component_label_vote(components, labeled_docs, *, num_partitions: int = 32,
             rows, columns=["component_id", "label", "votes", "purity"]
         )
 
-    return partitioned_groupby(joined, "component_id", vote,
-                               num_parts=num_partitions)
+    return partitioned_groupby(joined, "component_id", vote)
 
 
 def sample_components(grouped, *, strategy: str = "first", k: int = 3, seed: int = 42):

@@ -66,7 +66,7 @@ def word_counts(docs, max_word_types: int):
 
     rows = partitioned_groupby(
         docs.map_batches(partial, batch_format="pyarrow"),
-        "word", part_topk, num_parts=16,
+        "word", part_topk,
     ).take_all()
     rows.sort(key=lambda r: (-r["cnt"], r["word"]))
     return pd.DataFrame(rows[:max_word_types])

@@ -7,7 +7,7 @@ parallelism-invariant, unlike the reference's arbitrary ints (RUN.md:92).
 
 Two routes, picked by edge count:
 
-- at most `cc_driver_max_edges` edges (the post-threshold edge set is a
+- at most `_DRIVER_MAX_EDGES` edges (the post-threshold edge set is a
   tiny fraction of the corpus): a driver-side numpy min-label pass
   (`min_label_components`) over the edge list (16 B/edge);
 - above it: alternating large-star / small-star contraction (Kiveris et
@@ -25,7 +25,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from fastdup_ray.config import DedupConfig
 from fastdup_ray.relational.ops import (
     block_meta,
     from_block_refs,
@@ -33,8 +32,14 @@ from fastdup_ray.relational.ops import (
     partitioned_groupby,
 )
 
+# Below this many edges the whole edge list fits on the driver (16 B/edge)
+# and a numpy min-label pass beats shuffle rounds; above it (the
+# 10^12-doc regime) star contraction runs. `pagerank` picks its driver
+# path by the same bound.
+_DRIVER_MAX_EDGES = 5_000_000
 
-def connected_components(edges, config: DedupConfig | None = None):
+
+def connected_components(edges):
     """edges: Dataset (src, dst[, ...]) -> materialized Dataset (node, label).
 
     Only nodes incident to at least one edge appear; callers treat
@@ -44,14 +49,9 @@ def connected_components(edges, config: DedupConfig | None = None):
     """
     import ray
 
-    cfg = config or DedupConfig()
-
-    # hybrid finalize: below cc_driver_max_edges the whole edge list fits
-    # on the driver (16 B/edge) and a numpy min-label pass beats shuffle
-    # rounds; above it, star contraction runs
     edges = materialized(edges)
-    if edges.count() > cfg.cc_driver_max_edges:
-        return connected_components_star(edges, cfg)
+    if edges.count() > _DRIVER_MAX_EDGES:
+        return connected_components_star(edges)
     src_parts, dst_parts = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     for b in edges.iter_batches(batch_size=1_000_000, batch_format="pyarrow"):
         src = b[b.column_names[0]].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -191,8 +191,7 @@ def _edge_signature(E) -> tuple[int, int]:
     return n, int(h)
 
 
-def connected_components_star(edges, config: DedupConfig | None = None,
-                              stats: dict | None = None):
+def connected_components_star(edges, stats: dict | None = None):
     """Alternating large-star / small-star connected components (Kiveris
     et al. 2014, "Connected Components in MapReduce and Beyond") — the
     distributed route of connected_components(). Boilerplate
@@ -211,15 +210,13 @@ def connected_components_star(edges, config: DedupConfig | None = None,
     """
     import ray.data as rd
 
-    cfg = config or DedupConfig()
-    nparts = cfg.num_partitions
     empty = pa.table(
         {"node": pa.array([], pa.int64()), "label": pa.array([], pa.int64())}
     )
 
     E = partitioned_groupby(
         edges.map_batches(_canon_edges, batch_format="pyarrow"),
-        "hi", _dedup_part, num_parts=nparts,
+        "hi", _dedup_part,
     ).materialize()
     sig = _edge_signature(E)
     if sig[0] == 0:
@@ -234,16 +231,16 @@ def connected_components_star(edges, config: DedupConfig | None = None,
         )
 
     rounds = 0
-    for _round in range(cfg.cc_max_rounds):
+    while True:
         large = partitioned_groupby(
             E.map_batches(sym, batch_format="pyarrow"),
-            "node", _emit_large_star, num_parts=nparts,
+            "node", _emit_large_star,
         )
         small = partitioned_groupby(
-            large, "hi", _emit_small_star, num_parts=nparts,
+            large, "hi", _emit_small_star,
         )
         E = partitioned_groupby(
-            small, "hi", _dedup_part, num_parts=nparts,
+            small, "hi", _dedup_part,
         ).materialize()
         rounds += 1
         new_sig = _edge_signature(E)
@@ -269,11 +266,11 @@ def connected_components_star(edges, config: DedupConfig | None = None,
 
     return partitioned_groupby(
         E.map_batches(to_labels, batch_format="pyarrow"),
-        "node", min_label, num_parts=nparts,
+        "node", min_label,
     ).materialize()
 
 
-def component_info(labels, num_parts: int = 64):
+def component_info(labels):
     """labels (node, label) -> (component_id, count) — the reference's
     component_info.csv (RUN.md:84-93)."""
 
@@ -281,7 +278,7 @@ def component_info(labels, num_parts: int = 64):
         g = df.groupby("label", as_index=False, sort=False).size()
         return g.rename(columns={"label": "component_id", "size": "count"})
 
-    return partitioned_groupby(labels, "label", counts, num_parts=num_parts)
+    return partitioned_groupby(labels, "label", counts)
 
 
 def union_find_oracle(pairs) -> dict[int, int]:

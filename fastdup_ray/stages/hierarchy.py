@@ -61,7 +61,7 @@ def component_medoids(components, signatures, config: DedupConfig | None = None)
         signatures.select_columns(["doc_id", "minhash"]).rename_columns(
             {"doc_id": "sdoc"}
         ),
-        on="doc_id", right_on="sdoc", num_partitions=cfg.num_partitions,
+        on="doc_id", right_on="sdoc",
     )
     joined = with_schema(
         joined,
@@ -127,7 +127,7 @@ def component_medoids(components, signatures, config: DedupConfig | None = None)
         )
 
     return partitioned_groupby(
-        joined, "component_id", pick, num_parts=cfg.num_partitions,
+        joined, "component_id", pick,
         batch_format="pyarrow",
     )
 
@@ -163,8 +163,7 @@ def hierarchical_components(docs, components, config: DedupConfig | None = None,
     # distinct component ids (exemplar doc ids)
     from fastdup_ray.relational.ops import distinct
 
-    exemplar_ids = distinct(comp_ids, "component_id",
-                            num_parts=cfg.num_partitions).materialize()
+    exemplar_ids = distinct(comp_ids, "component_id").materialize()
     empty_cl = pa.table(
         {"component_id": pa.array([], pa.int64()),
          "cluster_id": pa.array([], pa.int64())}
@@ -189,7 +188,7 @@ def hierarchical_components(docs, components, config: DedupConfig | None = None,
             medoids, docs.select_columns(["doc_id", "text"]).rename_columns(
                 {"doc_id": "xdoc"}
             ),
-            on="doc_id", right_on="xdoc", num_partitions=cfg.num_partitions,
+            on="doc_id", right_on="xdoc",
         )
         exemplars = with_schema(
             med_docs,
@@ -206,7 +205,7 @@ def hierarchical_components(docs, components, config: DedupConfig | None = None,
             docs.select_columns(["doc_id", "text"]).rename_columns(
                 {"doc_id": "xdoc"}
             ),
-            on="component_id", right_on="xdoc", num_partitions=cfg.num_partitions,
+            on="component_id", right_on="xdoc",
         ).map_batches(
             lambda b: pa.table(
                 {"doc_id": b["component_id"].cast(pa.int64()), "text": b["text"]}
@@ -251,7 +250,7 @@ def hierarchical_components(docs, components, config: DedupConfig | None = None,
         )
         return clusters, rd.from_arrow(empty_ed)
 
-    labels = connected_components(edges, sub_cfg)  # (node, label)
+    labels = connected_components(edges)  # (node, label)
     # rename inside with_schema (rename_columns on from_arrow_refs
     # datasets is unreliable in ray 2.49 — see ops.with_schema)
     labels = with_schema(labels, {"lnode": pa.int64(), "label": pa.int64()},
@@ -263,7 +262,6 @@ def hierarchical_components(docs, components, config: DedupConfig | None = None,
         exemplar_ids,
         labels,
         on="component_id", right_on="lnode", join_type="left_outer",
-        num_partitions=cfg.num_partitions,
     ).map_batches(
         lambda b: pa.table(
             {

@@ -17,11 +17,11 @@ KenLM-backed stage would use:
    before one small groupby-sum. Token codes are fixed by the broadcast
    vocab so partials agree across blocks.
 3. score — the count tables (hard-capped at ``max_bigram_types`` rows
-   on the driver via a per-partition top-B prune, exact while observed
-   types fit the budget; in practice far sparser than the
-   (vocab_k+2)^2 worst case) are ``ray.put`` once and read by every
-   scoring actor in ``__init__``; each doc gets its add-one smoothed
-   cross-entropy  -mean_i ln p(w_i | w_{i-1}),
+   on the driver via a per-partition and a running driver-side top-B
+   prune, exact while observed types fit the budget; in practice far
+   sparser than the (vocab_k+2)^2 worst case) are ``ray.put`` once and
+   read by every scoring actor in ``__init__``; each doc gets its
+   add-one smoothed cross-entropy  -mean_i ln p(w_i | w_{i-1}),
    p(w|prev) = (c(prev,w)+1) / (c(prev)+V),  V = vocab_k_kept + 1.
 
 Scale note: the broadcast model is the scale ceiling — at web scale you
@@ -90,7 +90,7 @@ def train_vocab(docs, vocab_k: int) -> list[str]:
 
     cand = partitioned_groupby(
         docs.map_batches(partial, batch_format="pyarrow"),
-        "token", part_topk, num_parts=16,
+        "token", part_topk,
     ).take_all()
     cand.sort(key=lambda r: (-r["cnt"], r["token"]))
     return [r["token"] for r in cand[:vocab_k]]
@@ -119,7 +119,6 @@ def unigram_counts(docs, cats: list[str]) -> np.ndarray:
         docs.map_batches(partial, batch_format="pyarrow"),
         "k",
         lambda df: df.groupby("k", as_index=False, sort=False)["c"].sum(),
-        num_parts=8,
     ).take_all()
     out = np.zeros(ncat, np.int64)
     for r in rows:
@@ -142,24 +141,30 @@ def _code_stream(batch: pa.Table, cats: list[str]):
     return ids, offs, codes, prev
 
 
-def train_bigram_counts(docs, cats: list[str], *,
-                        max_bigram_types: int = 2_000_000,
-                        num_parts: int = 16) -> pd.DataFrame:
-    """(k, c) table of bigram counts, k = prev_code * ncur + cur_code.
+def _top_bigrams(df: pd.DataFrame, m: int) -> pd.DataFrame:
+    """The first `m` rows of `df` by (count desc, key asc)."""
+    if len(df) <= m:
+        return df
+    return df.sort_values(["c", "k"], ascending=[False, True],
+                          kind="mergesort").head(m)
 
-    Driver memory is hard-bounded at O(num_parts * B), B =
-    ceil(max_bigram_types / num_parts): each hash partition holds the
-    EXACT global count for every key it owns (a key's rows land in
-    exactly one partition), so keeping the per-partition top-B by
-    (count desc, key asc) is exact whenever no partition observes more
-    than B distinct bigram types — in particular whenever the corpus'
-    total observed types fit the budget. Above the budget only the
-    rarest types in overfull partitions are dropped; they score as
-    count 0 and add-one smoothing absorbs them, while the driver table
-    stays bounded regardless of vocab_k (worst case without the cap is
-    (|cats|+1)^2 ~ 16.8M rows at vocab_k=4096)."""
+
+def train_bigram_counts(docs, cats: list[str], *,
+                        max_bigram_types: int = 2_000_000) -> pd.DataFrame:
+    """(k, c) table of bigram counts, k = prev_code * ncur + cur_code:
+    the top `max_bigram_types` bigram types by (count desc, key asc).
+
+    Each hash partition holds the EXACT global count for every key it
+    owns (a key's rows land in exactly one partition) and keeps its own
+    top `max_bigram_types`; the driver streams the partition outputs and
+    keeps a running global top `max_bigram_types`, so it never holds
+    more than twice the budget and the table does not depend on the
+    partition count. Whenever the observed types fit the budget the
+    table is exact. Above it only the rarest types are dropped; they
+    score as count 0 and add-one smoothing absorbs them, while the
+    driver table stays bounded regardless of vocab_k (worst case without
+    the cap is (|cats|+1)^2 ~ 16.8M rows at vocab_k=4096)."""
     ncur = len(cats)
-    cap = max(1, -(-max_bigram_types // num_parts))  # ceil division
 
     def partial(batch: pa.Table) -> pa.Table:
         _, _, codes, prev = _code_stream(batch, cats)
@@ -169,20 +174,22 @@ def train_bigram_counts(docs, cats: list[str], *,
             "c": pa.array(uc.astype(np.int64), pa.int64()),
         })
 
-    def part_sum_topb(df: pd.DataFrame) -> pd.DataFrame:
+    def part_sum_top(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("k", as_index=False, sort=False)["c"].sum()
-        if len(g) > cap:
-            g = g.sort_values(["c", "k"], ascending=[False, True],
-                              kind="mergesort").head(cap)
-        return g
+        return _top_bigrams(g, max_bigram_types)
 
     from fastdup_ray.relational.ops import partitioned_groupby
 
     big = partitioned_groupby(
         docs.map_batches(partial, batch_format="pyarrow"),
-        "k", part_sum_topb, num_parts=num_parts,
+        "k", part_sum_top,
     )
-    return big.to_pandas()
+    top = pd.DataFrame({"k": pd.Series([], dtype=np.int64),
+                        "c": pd.Series([], dtype=np.int64)})
+    for part in big.iter_batches(batch_size=None, batch_format="pandas"):
+        top = _top_bigrams(pd.concat([top, part], ignore_index=True),
+                           max_bigram_types)
+    return top.reset_index(drop=True)
 
 
 class LMScoreStage:

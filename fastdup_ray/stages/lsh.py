@@ -90,9 +90,8 @@ def candidate_pairs(band_rows, config: DedupConfig | None = None):
     cfg = config or DedupConfig()
     pairs = partitioned_groupby(
         band_rows, "bucket", make_emit_partition(cfg.max_bucket_pairs),
-        num_parts=cfg.num_partitions,
     )
-    return distinct(pairs, ["src", "dst"], num_parts=cfg.num_partitions)
+    return distinct(pairs, ["src", "dst"])
 
 
 def cross_candidate_pairs(band_rows_query, band_rows_index,

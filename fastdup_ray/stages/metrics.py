@@ -23,8 +23,7 @@ import pyarrow as pa
 from fastdup_ray.relational.ops import hash_join, partitioned_groupby
 
 
-def confusion_counts(preds, *, label_col: str = "label", pred_col: str = "pred",
-                     num_parts: int = 32):
+def confusion_counts(preds, *, label_col: str = "label", pred_col: str = "pred"):
     """Dataset with (label_col, pred_col) -> Dataset (label, pred, n)."""
 
     def count(df: pd.DataFrame) -> pd.DataFrame:
@@ -33,22 +32,18 @@ def confusion_counts(preds, *, label_col: str = "label", pred_col: str = "pred",
                                  "size": "n"})
 
     return partitioned_groupby(
-        preds.select_columns([label_col, pred_col]), [label_col, pred_col],
-        count, num_parts=num_parts,
+        preds.select_columns([label_col, pred_col]), [label_col, pred_col], count
     )
 
 
 def classification_report(preds, *, label_col: str = "label",
-                          pred_col: str = "pred",
-                          num_parts: int = 32) -> pa.Table:
+                          pred_col: str = "pred") -> pa.Table:
     """Per-class precision/recall/F1/support + overall accuracy.
 
     Returns a small Arrow table (classes x metrics) with an `accuracy`
     scalar repeated per row for convenience; rounding 6dp.
     """
-    counts = confusion_counts(
-        preds, label_col=label_col, pred_col=pred_col, num_parts=num_parts
-    ).take_all()
+    counts = confusion_counts(preds, label_col=label_col, pred_col=pred_col).take_all()
     if not counts:
         return pa.table(
             {
@@ -96,7 +91,7 @@ def classification_report(preds, *, label_col: str = "label",
     )
 
 
-def neighbor_label_agreement(edges, labels, *, num_parts: int = 32):
+def neighbor_label_agreement(edges, labels):
     """A4 label_score over an arbitrary edge list: per doc, the fraction
     of its neighbors sharing its label (reference galleries.py:1864-1884).
 
@@ -115,8 +110,7 @@ def neighbor_label_agreement(edges, labels, *, num_parts: int = 32):
         )
 
     e = edges.map_batches(sym, batch_format="pyarrow")
-    j1 = hash_join(e, labels, on="node", right_on="doc_id",
-                   num_partitions=num_parts).materialize()
+    j1 = hash_join(e, labels, on="node", right_on="doc_id").materialize()
     from fastdup_ray.relational.ops import with_schema
 
     j1 = with_schema(
@@ -124,7 +118,7 @@ def neighbor_label_agreement(edges, labels, *, num_parts: int = 32):
     ).materialize()
     j2 = hash_join(
         j1, labels.rename_columns({"doc_id": "nbdoc", "label": "label_nb"}),
-        on="nb", right_on="nbdoc", num_partitions=num_parts,
+        on="nb", right_on="nbdoc",
     )
 
     def agree(df: pd.DataFrame) -> pd.DataFrame:
@@ -143,5 +137,5 @@ def neighbor_label_agreement(edges, labels, *, num_parts: int = 32):
             }
         )
 
-    scored = partitioned_groupby(j2, "node", agree, num_parts=num_parts)
+    scored = partitioned_groupby(j2, "node", agree)
     return scored.sort(["label_score", "doc_id"])

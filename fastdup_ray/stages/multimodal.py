@@ -276,8 +276,7 @@ class ResizeStage:
         return out
 
 
-def media_near_dup_pairs(decoded, *, threshold: float = 0.999,
-                         num_partitions: int = 32):
+def media_near_dup_pairs(decoded, *, threshold: float = 0.999):
     """Embedding-cosine near-dup over decoded media features: reuses the
     ANN brute-force kernel with the media table's own vectors as both
     sides via LSH-free exact scoring on feature-hash buckets. Byte-identical
@@ -310,7 +309,7 @@ def media_near_dup_pairs(decoded, *, threshold: float = 0.999,
 
     pairs = partitioned_groupby(
         decoded.map_batches(keyed, batch_format="pyarrow"),
-        "bucket", make_emit_partition(64), num_parts=num_partitions,
+        "bucket", make_emit_partition(64),
     )
     return pairs.map_batches(
         lambda b: b.append_column(

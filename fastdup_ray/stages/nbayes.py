@@ -71,7 +71,6 @@ def _class_token_counts(docs, cats: list[str], classes: list[str],
         docs.map_batches(partial, batch_format="pyarrow"),
         "k",
         lambda df: df.groupby("k", as_index=False, sort=False)["c"].sum(),
-        num_parts=8,
     ).take_all()
     out = np.zeros((len(classes), ncat), np.int64)
     for r in rows:

@@ -9,9 +9,9 @@ edge list; PageRank is the standard damped power iteration
 
 run for a fixed number of rounds. Like connected components
 (stages/components.py), small graphs finish on the driver (one numpy
-`np.add.at` scatter per round); above `driver_max_edges` each round is a
-`hash_join` (pr onto edge sources) plus a partitioned sum by
-destination, no driver-side state.
+`np.add.at` scatter per round); above `components._DRIVER_MAX_EDGES`
+edges each round is a `hash_join` (pr onto edge sources) plus a
+partitioned sum by destination, no driver-side state.
 
 Output: (node, pagerank, delta, degree) — delta is the last round's
 |pr - pr_prev| per node, the reference's convergence diagnostic.
@@ -23,7 +23,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from fastdup_ray.config import DedupConfig
 from fastdup_ray.relational.ops import (
     drop_empty_blocks, hash_join, partitioned_groupby, with_schema,
 )
@@ -61,13 +60,13 @@ def _pagerank_driver(u: np.ndarray, v: np.ndarray, damping: float, iters: int):
     return nodes, pr, delta, deg.astype(np.int64)
 
 
-def pagerank(edges, config: DedupConfig | None = None, *, damping: float = 0.85,
-             iters: int = 10):
+def pagerank(edges, *, damping: float = 0.85, iters: int = 10):
     """edges Dataset (src, dst[, ...]) -> Dataset (node, pagerank, delta,
     degree). Deterministic for a fixed iteration count."""
     import ray.data as rd
 
-    cfg = config or DedupConfig()
+    from fastdup_ray.stages import components
+
     edges = edges.materialize()
     n_edges = edges.count()
     empty = pa.table(
@@ -85,7 +84,7 @@ def pagerank(edges, config: DedupConfig | None = None, *, damping: float = 0.85,
         _symmetrize, batch_format="pyarrow"
     ).materialize()
 
-    if n_edges <= cfg.cc_driver_max_edges:
+    if n_edges <= components._DRIVER_MAX_EDGES:
         parts_u, parts_v = [], []
         for b in sym.iter_batches(batch_size=None, batch_format="pyarrow"):
             parts_u.append(b["u"].to_numpy(zero_copy_only=False))
@@ -109,7 +108,7 @@ def pagerank(edges, config: DedupConfig | None = None, *, damping: float = 0.85,
         g = df.groupby("u", as_index=False, sort=False).size()
         return g.rename(columns={"u": "node", "size": "degree"})
 
-    deg = partitioned_groupby(sym, "u", deg_agg, num_parts=cfg.num_partitions)
+    deg = partitioned_groupby(sym, "u", deg_agg)
     deg = with_schema(deg, {"node": pa.int64(), "degree": pa.int64()})
     n_nodes = deg.count()
     base = (1.0 - damping) / n_nodes
@@ -129,7 +128,7 @@ def pagerank(edges, config: DedupConfig | None = None, *, damping: float = 0.85,
     for _ in range(iters):
         joined = hash_join(
             sym, state.rename_columns({"node": "pnode"}),
-            on="u", right_on="pnode", num_partitions=cfg.num_partitions,
+            on="u", right_on="pnode",
         )
 
         def contrib(batch: pa.Table) -> pa.Table:
@@ -147,7 +146,7 @@ def pagerank(edges, config: DedupConfig | None = None, *, damping: float = 0.85,
 
         acc = partitioned_groupby(
             joined.map_batches(contrib, batch_format="pyarrow"),
-            "node", sum_in, num_parts=cfg.num_partitions,
+            "node", sum_in,
         )
         # rename inside with_schema: Dataset.rename_columns on a
         # from_arrow_refs dataset is unreliable in ray 2.49 (renames only
@@ -157,7 +156,7 @@ def pagerank(edges, config: DedupConfig | None = None, *, damping: float = 0.85,
         merged = hash_join(
             state.rename_columns({"pr": "pr_old"}),
             acc,
-            on="node", right_on="anode", num_partitions=cfg.num_partitions,
+            on="node", right_on="anode",
         )
 
         def update(batch: pa.Table) -> pa.Table:

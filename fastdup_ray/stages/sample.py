@@ -120,4 +120,4 @@ def stratified_fixed_n(ds, *, n: int, key: str = "doc_id",
 
     pruned = ds.map_batches(prune, batch_format="pyarrow")
     # groups are few (languages/sources); partition directly on the group
-    return partitioned_groupby(pruned, group_col, final, num_parts=16)
+    return partitioned_groupby(pruned, group_col, final)

@@ -41,7 +41,7 @@ import pyarrow as pa
 
 def semdedup(ds, centroids: np.ndarray, *, threshold: float = 0.4,
              embedding_col: str = "embedding", id_col: str = "vec_id",
-             num_parts: int = 32, block_rows: int = 2048):
+             block_rows: int = 2048):
     """(id, embedding) Dataset -> (id, cell, rep_id, keep) Dataset.
 
     ``rep_id`` is the minimum id of the row's intra-cluster semantic
@@ -99,5 +99,5 @@ def semdedup(ds, centroids: np.ndarray, *, threshold: float = 0.4,
 
     return partitioned_groupby(
         assigned, "cell", per_partition,
-        num_parts=num_parts, batch_format="pyarrow",
+        batch_format="pyarrow",
     )

@@ -79,5 +79,4 @@ def deterministic_shuffle(ds, *, key: str = "doc_id", salt: int = 0,
         return (df.drop(columns=["_h", "_hu", "_bk"])
                   .reset_index(drop=True))
 
-    return partitioned_groupby(stamped, "_bk", rank_bucket,
-                               num_parts=min(64, n_buckets))
+    return partitioned_groupby(stamped, "_bk", rank_bucket)

@@ -162,7 +162,6 @@ def simhash_candidate_pairs(signatures, config: DedupConfig | None = None):
 
     tagged = partitioned_groupby(
         proj, "simhash", _collapse_values(cfg.max_bucket_pairs),
-        num_parts=cfg.num_partitions,
     ).materialize()
 
     def intra_edges(b: pa.Table) -> pa.Table:
@@ -184,11 +183,8 @@ def simhash_candidate_pairs(signatures, config: DedupConfig | None = None):
     cross = partitioned_groupby(
         band_rows, "bucket",
         _emit_verified(cfg.simhash_value_cap, cfg.simhash_hamming),
-        num_parts=cfg.num_partitions,
     )
-    pairs = distinct(
-        intra.union(cross), ["src", "dst", "hamming"], num_parts=cfg.num_partitions
-    ).materialize()
+    pairs = distinct(intra.union(cross), ["src", "dst", "hamming"]).materialize()
     if pairs.count() == 0:
         from fastdup_ray.relational.ops import empty_typed
 

@@ -115,7 +115,7 @@ def _estimate(max_ranks: np.ndarray) -> float:
 
 
 def hll_distinct(ds, *, k: int = 5, group_col: str = "source",
-                 text_col: str = "text", num_parts: int = 16):
+                 text_col: str = "text"):
     """(group, text) Dataset -> (group, est_distinct) Dataset: estimated
     distinct k-gram count per group. One map pass + one tiny register
     shuffle (rows bounded by blocks x groups x 2^p, not by data)."""
@@ -129,8 +129,7 @@ def hll_distinct(ds, *, k: int = 5, group_col: str = "source",
             rows.append((g, round(_estimate(mr.to_numpy()), 4)))
         return pd.DataFrame(rows, columns=[group_col, "est_distinct"])
 
-    return partitioned_groupby(partials, group_col, finish,
-                               num_parts=num_parts)
+    return partitioned_groupby(partials, group_col, finish)
 
 
 # --------------------------------------------------------------- Misra-Gries

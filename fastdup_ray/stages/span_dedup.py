@@ -144,11 +144,10 @@ def _kill_partition(df: pd.DataFrame) -> pd.DataFrame:
         {"doc_id": "int64", "win_idx": "int64", "span": "string[pyarrow]"})
 
 
-def span_kill_list(docs, *, window: int = 13, num_parts: int = 64):
+def span_kill_list(docs, *, window: int = 13):
     """Dataset of window occurrences to delete (doc_id, win_idx, span)."""
     wins = explode_windows(docs, window=window)
-    return partitioned_groupby(wins, "bucket", _kill_partition,
-                               num_parts=num_parts)
+    return partitioned_groupby(wins, "bucket", _kill_partition)
 
 
 def _rebuild_batch(batch: pa.Table, window: int, kill_docs: np.ndarray,
@@ -199,20 +198,19 @@ def _rebuild_batch(batch: pa.Table, window: int, kill_docs: np.ndarray,
     })
 
 
-def span_dedup_docs(docs, *, window: int = 13, num_parts: int = 64,
-                    broadcast_budget: int = _BROADCAST_KILL_BUDGET):
+def span_dedup_docs(docs, *, window: int = 13):
     """documents(doc_id, text) -> (doc_id, text_clean) with every
     non-first occurrence of a duplicated W-token window removed.
 
-    Kill lists up to `broadcast_budget` occurrences are collected once
+    Kill lists up to `_BROADCAST_KILL_BUDGET` occurrences are collected once
     and broadcast via `ray.put`; the rebuild is then a second pure map
     over the documents. Above the budget the rebuild switches to a
     hash exchange on doc_id (docs and kills partitioned together, the
     same `_rebuild_batch` kernel per partition) — no
     driver state of any size, one extra exchange of the doc table."""
-    kills = span_kill_list(docs, window=window, num_parts=num_parts)
+    kills = span_kill_list(docs, window=window)
     kills = kills.select_columns(["doc_id", "win_idx"]).materialize()
-    if kills.count() <= broadcast_budget:
+    if kills.count() <= _BROADCAST_KILL_BUDGET:
         kdf = kills.to_pandas()
         ref = ray.put((kdf["doc_id"].to_numpy(np.int64),
                        kdf["win_idx"].to_numpy(np.int64)))
@@ -222,11 +220,10 @@ def span_dedup_docs(docs, *, window: int = 13, num_parts: int = 64,
             return _rebuild_batch(batch, window, kd, kw)
 
         return docs.map_batches(fn, batch_format="pyarrow")
-    return _span_rebuild_cogroup(docs, kills, window=window,
-                                 num_parts=num_parts)
+    return _span_rebuild_cogroup(docs, kills, window=window)
 
 
-def _span_rebuild_cogroup(docs, kills, *, window: int, num_parts: int):
+def _span_rebuild_cogroup(docs, kills, *, window: int):
     """Exchange-rebuild path: documents and kill rows meet per doc_id in
     the hash exchange (`cogroup`), so a document meets exactly its own
     kill rows; then the broadcast path's rebuild kernel runs per
@@ -243,6 +240,5 @@ def _span_rebuild_cogroup(docs, kills, *, window: int, num_parts: int):
 
     return cogroup(
         [docs.select_columns(["doc_id", "text"]), kills],
-        [["doc_id"], ["doc_id"]], rebuild_part, num_parts=num_parts,
-        required=(0,),
+        [["doc_id"], ["doc_id"]], rebuild_part, required=(0,),
     )[0]

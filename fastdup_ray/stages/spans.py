@@ -146,7 +146,7 @@ def count_spans(docs, patterns: dict[str, str], *, text_col: str = "text",
 
 
 def crop_spans(docs, spans, *, margin_frac: float = 0.2,
-               text_col: str = "text", num_partitions: int = 32):
+               text_col: str = "text"):
     """M4 analog: slice each span (± margin) out of its parent text.
 
     docs: (doc_id, url, text); spans: SPAN_SCHEMA.
@@ -156,8 +156,7 @@ def crop_spans(docs, spans, *, margin_frac: float = 0.2,
        page-like rows ready for `already_extracted` re-ingestion."""
     parents = docs.select_columns(["doc_id", "url", text_col]) \
         .rename_columns({"doc_id": "p_doc"})
-    joined = hash_join(spans, parents, on="doc_id", right_on="p_doc",
-                       num_partitions=num_partitions)
+    joined = hash_join(spans, parents, on="doc_id", right_on="p_doc")
 
     _empty = pa.table({
         "crop_id": pa.array([], pa.int64()),
@@ -209,7 +208,7 @@ def crop_spans(docs, spans, *, margin_frac: float = 0.2,
     return joined.map_batches(slice_crop, batch_format="pyarrow")
 
 
-def join_crops(docs, crops, *, num_partitions: int = 32):
+def join_crops(docs, crops):
     """J8 analog: parent docs ⟕ crops on doc_id; docs with no crop get
     one placeholder row (crop_id -1, empty label/text) so the parent
     table stays dense (reference fastdup_controller.py:1126-1151)."""
@@ -219,7 +218,6 @@ def join_crops(docs, crops, *, num_partitions: int = 32):
     joined = hash_join(
         docs.select_columns(["doc_id", "url"]), right,
         on="doc_id", right_on="c_doc", join_type="left_outer",
-        num_partitions=num_partitions,
     )
 
     def fill(batch: pa.Table) -> pa.Table:
@@ -241,15 +239,14 @@ def join_crops(docs, crops, *, num_partitions: int = 32):
 
 def two_phase_neardup(docs, patterns: dict[str, str], pipe, *,
                       margin_frac: float = 0.2, input_token: str,
-                      num_partitions: int = 32, resume: bool = True):
+                      resume: bool = True):
     """M5 end-to-end: detect spans -> crop -> near-dup the CROPS.
 
     pipe: a NearDupPipeline. Crops re-enter as an already-extracted
     docs table keyed by crop_id/crop url (reference two-phase flow:
     __init__.py:640-764 runs the full pipeline again on crops)."""
     spans = detect_spans(docs, patterns)
-    crops = crop_spans(docs, spans, margin_frac=margin_frac,
-                       num_partitions=num_partitions)
+    crops = crop_spans(docs, spans, margin_frac=margin_frac)
 
     def as_docs(batch: pa.Table) -> pa.Table:
         out = batch.select(["crop_id", "url", "text"]) \

@@ -172,8 +172,7 @@ def substring_pairs(docs, config: DedupConfig | None = None):
     anchors = src_docs.map_batches(AnchorStage(cfg.substring_len),
                                    batch_format="pyarrow")
     cand = partitioned_groupby(anchors, "fp",
-                               _emit_anchor_pairs(cfg.max_bucket_pairs),
-                               num_parts=cfg.num_partitions)
+                               _emit_anchor_pairs(cfg.max_bucket_pairs))
 
     # keep ONE candidate anchor per (src, dst, diagonal) where diagonal =
     # src_off - dst_off: anchors on the same diagonal inside the same
@@ -188,8 +187,7 @@ def substring_pairs(docs, config: DedupConfig | None = None):
         delta = df["src_off"] - df["dst_off"]
         return df.loc[~df.assign(_d=delta).duplicated(["src", "dst", "_d"])]
 
-    cand = partitioned_groupby(cand, ["src", "dst"], dedupe,
-                               num_parts=cfg.num_partitions).materialize()
+    cand = partitioned_groupby(cand, ["src", "dst"], dedupe).materialize()
     if cand.count() == 0:
         from fastdup_ray.relational.ops import empty_typed
 
@@ -205,8 +203,7 @@ def substring_pairs(docs, config: DedupConfig | None = None):
          "src_off": pa.int64(), "dst_off": pa.int64()},
     )
     side = docs.select_columns(["doc_id", "text"])
-    j1 = hash_join(cand, side, on="src", right_on="doc_id",
-                   num_partitions=cfg.num_partitions).materialize()
+    j1 = hash_join(cand, side, on="src", right_on="doc_id").materialize()
     j1 = with_schema(
         j1,
         {"src": pa.int64(), "dst": pa.int64(), "src_off": pa.int64(),
@@ -214,7 +211,7 @@ def substring_pairs(docs, config: DedupConfig | None = None):
     ).materialize()
     j2 = hash_join(
         j1, side.rename_columns({"text": "text_r"}),
-        on="dst", right_on="doc_id", num_partitions=cfg.num_partitions,
+        on="dst", right_on="doc_id",
     )
 
     min_len = cfg.substring_len
@@ -251,5 +248,4 @@ def substring_pairs(docs, config: DedupConfig | None = None):
     def maxlen(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby(["src", "dst"], as_index=False)["match_len"].max()
 
-    return partitioned_groupby(verified, ["src", "dst"], maxlen,
-                               num_parts=cfg.num_partitions)
+    return partitioned_groupby(verified, ["src", "dst"], maxlen)

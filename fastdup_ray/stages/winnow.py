@@ -162,21 +162,18 @@ def _make_emit_pair_counts(max_df: int):
     return emit
 
 
-def winnow_pair_counts(fps, *, min_shared: int = 2, max_df: int = 8,
-                       num_partitions: int = 64):
+def winnow_pair_counts(fps, *, min_shared: int = 2, max_df: int = 8):
     """fingerprints (doc_id, pos, fp) -> matched pairs (src, dst,
     n_shared), src < dst, keeping pairs that share >= min_shared
     distinct fingerprint values after dropping values present in more
     than max_df documents."""
-    docfp = distinct(fps, ["fp", "doc_id"], num_parts=num_partitions)
+    docfp = distinct(fps, ["fp", "doc_id"])
     partial = partitioned_groupby(
         docfp, "fp", _make_emit_pair_counts(max_df),
-        num_parts=num_partitions,
     )
 
     def total(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(["src", "dst"], as_index=False)["n_shared"].sum()
         return g[g["n_shared"] >= min_shared]
 
-    return partitioned_groupby(partial, ["src", "dst"], total,
-                               num_parts=num_partitions)
+    return partitioned_groupby(partial, ["src", "dst"], total)

@@ -104,3 +104,30 @@ def test_top_components_and_vote_and_sample(setup, tmp_path):
     a = sample_components(grouped, strategy="random", k=2, seed=9).take_all()
     b = sample_components(grouped, strategy="random", k=2, seed=9).take_all()
     assert sorted(map(str, a)) == sorted(map(str, b))
+
+
+def test_expand_annotations_keeps_phantom_url(ray_session):
+    from fastdup_ray.stages.annotations import ERR_MISSING_DOC, expand_annotations
+
+    docs = rd.from_arrow(
+        pa.table(
+            {
+                "doc_id": pa.array([1, 2], pa.int64()),
+                "url": pa.array(["u1", "u2"]),
+            }
+        )
+    )
+    annots = rd.from_arrow(
+        pa.table(
+            {
+                "url": pa.array(["u2", "phantom://missing"]),
+                "label": pa.array(["x", "y"]),
+            }
+        )
+    )
+    rows = expand_annotations(docs, annots).take_all()
+    missing = [r for r in rows if r["annot_error"] == ERR_MISSING_DOC]
+    assert len(missing) == 1
+    # the dangling annotation keeps ITS url, not 'None'/'nan'
+    assert missing[0]["url"] == "phantom://missing"
+    assert missing[0]["label"] == "y"

@@ -16,7 +16,8 @@ def test_config_spec_rejects_keys_that_name_no_field(tmp_path):
     spec.write_text(json.dumps({
         "input": str(tmp_path / "pages"), "work_dir": str(tmp_path / "wd"),
         "threshold": 0.85, "verify_mode": "signature", "cc_algorithm": "label",
-        "verify_broadcast_max_bytes": 0, "signer": "oph",
+        "verify_broadcast_max_bytes": 0, "signer": "oph", "num_partitions": 8,
+        "cc_driver_max_edges": 0, "cc_max_rounds": 5, "hash_version": 2,
     }))
     env = dict(os.environ, PYTHONPATH=REPO)
     proc = subprocess.run(
@@ -27,5 +28,7 @@ def test_config_spec_rejects_keys_that_name_no_field(tmp_path):
     assert proc.returncode != 0
     assert "verify_mode" in proc.stderr and "cc_algorithm" in proc.stderr
     assert "verify_broadcast_max_bytes" in proc.stderr and "signer" in proc.stderr
+    for key in ("num_partitions", "cc_driver_max_edges", "cc_max_rounds", "hash_version"):
+        assert key in proc.stderr, key
     assert "threshold" not in proc.stderr.splitlines()[-1]
     assert not (tmp_path / "wd").exists()

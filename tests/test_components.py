@@ -1,13 +1,12 @@
 """Connected components: the driver min-label route, star contraction
-(the distributed route) and the dispatch between them."""
+(the distributed route) and the dispatch between them; and pagerank,
+which picks its driver route by the same edge bound."""
 
 import numpy as np
 import pyarrow as pa
 import ray.data as rd
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from fastdup_ray.config import DedupConfig
 
 
 def _edges_table(pairs):
@@ -50,9 +49,7 @@ def test_star_contraction_log_rounds_on_path_graph(ray_session):
     ids = rng.permutation(np.arange(1, 10 * n, 5))[:n].astype(np.int64)
     pairs = [(int(ids[i]), int(ids[i + 1])) for i in range(n - 1)]
     stats = {}
-    got = connected_components_star(
-        _edges_table(pairs), DedupConfig(num_partitions=8), stats=stats
-    ).to_pandas()
+    got = connected_components_star(_edges_table(pairs), stats=stats).to_pandas()
     expect = union_find_oracle(pairs)
     assert dict(zip(got["node"], got["label"])) == expect
     # one component; all labels = global min
@@ -63,7 +60,7 @@ def test_star_contraction_log_rounds_on_path_graph(ray_session):
 
 
 def test_cc_distributed_dispatch_and_empty(ray_session, monkeypatch):
-    """Above cc_driver_max_edges, connected_components runs star
+    """Above _DRIVER_MAX_EDGES, connected_components runs star
     contraction; at or below it the driver min-label route; both give the
     oracle's labels. Empty edge sets are fine."""
     from fastdup_ray.stages import components
@@ -73,15 +70,15 @@ def test_cc_distributed_dispatch_and_empty(ray_session, monkeypatch):
     pairs = [(1, 2), (2, 3), (10, 11), (5, 1)]
     calls = []
 
-    def spy(edges, config=None):
-        calls.append(config)
-        return connected_components_star(edges, config)
+    def spy(edges):
+        calls.append(1)
+        return connected_components_star(edges)
 
     monkeypatch.setattr(components, "connected_components_star", spy)
-    star_cfg = DedupConfig(cc_driver_max_edges=0, num_partitions=4)
-    for cfg, route in ((star_cfg, [star_cfg]), (DedupConfig(), [])):
+    for bound, route in ((0, [1]), (components._DRIVER_MAX_EDGES, [])):
         calls.clear()
-        got = connected_components(_edges_table(pairs), cfg).to_pandas()
+        monkeypatch.setattr(components, "_DRIVER_MAX_EDGES", bound)
+        got = connected_components(_edges_table(pairs)).to_pandas()
         assert calls == route
         assert dict(zip(got["node"], got["label"])) == union_find_oracle(pairs)
 
@@ -132,15 +129,50 @@ def test_min_label_components_matches_union_find(graph):
 @settings(max_examples=15, deadline=None)
 @given(_graphs())
 def test_driver_cc_route_matches_union_find(ray_session, graph):
-    """connected_components below cc_driver_max_edges == the union-find
+    """connected_components below _DRIVER_MAX_EDGES == the union-find
     oracle over the non-self-loop edges, with rows sorted by node."""
     from fastdup_ray.stages.components import (
         connected_components, union_find_oracle)
 
     _, pairs = graph
-    got = connected_components(_edges_table(pairs), DedupConfig())
+    got = connected_components(_edges_table(pairs))
     expect = union_find_oracle([(a, b) for a, b in pairs if a != b])
     rows = got.take_all()
     assert [r["node"] for r in rows] == sorted(expect)
     assert {r["node"]: r["label"] for r in rows} == expect
     assert [f.name for f in got.schema().base_schema] == ["node", "label"]
+
+
+def test_pagerank_matches_dense_reference(ray_session, monkeypatch):
+    from fastdup_ray.stages import components
+    from fastdup_ray.stages.pagerank import pagerank
+
+    # planted graph: triangle (1,2,3) + edge (4,5), node ids arbitrary
+    edges = pa.table(
+        {
+            "src": pa.array([10, 10, 20, 40], pa.int64()),
+            "dst": pa.array([20, 30, 30, 50], pa.int64()),
+        }
+    )
+    ds = rd.from_arrow(edges)
+    out = {r["node"]: r for r in pagerank(ds, iters=10).take_all()}
+    # dense numpy reference on the symmetrized graph
+    nodes = [10, 20, 30, 40, 50]
+    idx = {n: i for i, n in enumerate(nodes)}
+    adj = np.zeros((5, 5))
+    for s, t in [(10, 20), (10, 30), (20, 30), (40, 50)]:
+        adj[idx[s], idx[t]] = adj[idx[t], idx[s]] = 1
+    deg = adj.sum(1)
+    pr = np.full(5, 1 / 5)
+    for _ in range(10):
+        pr = (1 - 0.85) / 5 + 0.85 * adj.T @ (pr / deg)
+    for n in nodes:
+        assert abs(out[n]["pagerank"] - pr[idx[n]]) < 1e-9
+        assert out[n]["degree"] == int(deg[idx[n]])
+
+    # distributed path gives identical results
+    monkeypatch.setattr(components, "_DRIVER_MAX_EDGES", 0)
+    out2 = {r["node"]: r for r in pagerank(ds, iters=10).take_all()}
+    for n in nodes:
+        assert abs(out2[n]["pagerank"] - out[n]["pagerank"]) < 1e-9
+        assert out2[n]["degree"] == out[n]["degree"]

@@ -203,8 +203,7 @@ def test_two_phase_neardup_clusters_crops(ray_session, tmp_path):
         body = f"{filler} {planted} {filler}" if d % 2 == 0 else filler
         rows.append((d, f"http://site{d}/p", body))
     docs = _docs_ds(rows)
-    pipe = NearDupPipeline(DedupConfig(num_partitions=2),
-                           work_dir=str(tmp_path))
+    pipe = NearDupPipeline(DedupConfig(), work_dir=str(tmp_path))
     res = two_phase_neardup(
         docs, {"code": r"(?:tok[0-9]+ ?)+"}, pipe, margin_frac=0.0,
         input_token="two-phase-test", resume=False)

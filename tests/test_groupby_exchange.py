@@ -1,8 +1,10 @@
 """partitioned_groupby's hash exchange against a pandas groupby oracle:
-int, string and composite keys, 1-8 input blocks (some empty), 1-64
-partitions, empty input and a single shared key."""
+int, string and composite keys, 1-8 input blocks (some empty), 1-8
+partitions, empty input and a single shared key; and the exchange width
+rule."""
 
 import uuid
+from unittest import mock
 
 import numpy as np
 import pandas as pd
@@ -12,6 +14,7 @@ import ray.data as rd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fastdup_ray.relational import ops
 from fastdup_ray.relational.ops import partitioned_groupby
 
 KEYS = {"int": ["k"], "str": ["s"], "composite": ["k", "s"]}
@@ -49,7 +52,7 @@ def _inputs(draw):
     cuts = sorted(draw(st.lists(st.integers(0, n), min_size=0, max_size=7)))
     blocks = [df.iloc[a:b] for a, b in zip([0] + cuts, cuts + [n])]
     return (df, blocks, draw(st.sampled_from(sorted(KEYS))),
-            draw(st.integers(1, 64)), draw(st.sampled_from(["pandas", "pyarrow"])))
+            draw(st.integers(1, 8)), draw(st.sampled_from(["pandas", "pyarrow"])))
 
 
 @settings(max_examples=40, deadline=None)
@@ -58,14 +61,14 @@ def test_partitioned_groupby_matches_pandas_oracle(ray_session, case):
     """Output multiset == pandas groupby; each key reaches exactly one
     apply_fn call; no output block has zero rows or zero columns; empty
     input gives apply_fn's typed empty result."""
-    df, blocks, key_kind, num_parts, batch_format = case
+    df, blocks, key_kind, parts, batch_format = case
     keys = KEYS[key_kind]
     ds = rd.from_arrow([pa.Table.from_pandas(b, preserve_index=False)
                         for b in blocks])
 
     fn = _aggregator(keys, batch_format)
-    out = partitioned_groupby(ds, keys, fn, num_parts=num_parts,
-                              batch_format=batch_format)
+    with mock.patch.object(ops, "exchange_width", lambda n: parts):
+        out = partitioned_groupby(ds, keys, fn, batch_format=batch_format)
     cols = keys + ["n", "total", "call"]
     assert [f.name for f in out.schema().base_schema] == cols
 
@@ -81,7 +84,7 @@ def test_partitioned_groupby_matches_pandas_oracle(ray_session, case):
     # one output row per key: a key split across two calls appears twice
     assert not got.duplicated(keys).any()
     # every apply_fn call saw whole keys only; calls <= partitions
-    assert got["call"].nunique() <= num_parts
+    assert got["call"].nunique() <= parts
     expect = df.groupby(keys, as_index=False).agg(n=("v", "size"),
                                                   total=("v", "sum"))
     sort = lambda d: d[keys + ["n", "total"]].sort_values(keys).reset_index(drop=True)  # noqa: E731
@@ -89,10 +92,12 @@ def test_partitioned_groupby_matches_pandas_oracle(ray_session, case):
 
 
 def test_partitioned_groupby_uses_at_most_one_partition_per_input_block(ray_session):
-    """P = min(num_parts, non-empty input blocks): three blocks and 64
-    requested partitions give at most three apply_fn calls."""
+    """P = min(non-empty input blocks, cluster CPUs): three blocks give
+    at most three apply_fn calls, and eight blocks on the 4-CPU test
+    session at most four."""
+    assert [ops.exchange_width(n) for n in (0, 1, 3, 4, 8, 64)] == [1, 1, 3, 4, 4, 4]
     df = pd.DataFrame({"k": np.arange(300, dtype=np.int64), "v": 1})
-    ds = rd.from_pandas([df.iloc[i::3] for i in range(3)])
-    out = partitioned_groupby(ds, "k", _aggregator(["k"], "pandas"), num_parts=64)
-    got = out.to_pandas()
-    assert len(got) == 300 and got["call"].nunique() <= 3
+    for blocks, calls in ((3, 3), (8, 4)):
+        ds = rd.from_pandas([df.iloc[i::blocks] for i in range(blocks)])
+        got = partitioned_groupby(ds, "k", _aggregator(["k"], "pandas")).to_pandas()
+        assert len(got) == 300 and got["call"].nunique() <= calls

@@ -74,7 +74,7 @@ def test_split_scored_pairs_partition(ray_session):
         "dst": pa.array([2, 3, 8], pa.int64()),
         "distance": pa.array([0.9, 0.0, 0.5], pa.float64()),
     }))
-    reused, to_verify = _split_scored_pairs(pairs, scores, num_parts=4)
+    reused, to_verify = _split_scored_pairs(pairs, scores)
     got_r = sorted((r["src"], r["dst"], r["distance"])
                    for r in reused.take_all())
     # distance 0.0 is a legal score and must be REUSED, not re-verified
@@ -87,7 +87,7 @@ def test_split_scored_pairs_partition(ray_session):
         "dst": pa.array([], pa.int64()),
         "distance": pa.array([], pa.float64()),
     }))
-    r2, v2 = _split_scored_pairs(pairs, empty_scores, num_parts=4)
+    r2, v2 = _split_scored_pairs(pairs, empty_scores)
     assert r2.count() == 0 and v2.count() == pairs.count()
 
 
@@ -188,7 +188,8 @@ def test_load_result_ignores_config_keys_of_deleted_fields(ray_session, tmp_path
         man["config"].update(fused_extract_sign=True, cc_algorithm="label",
                              verify_index_shards=16, verify_broadcast_max_bytes=0,
                              signer="minhash", substring_anchor_mode="winnow",
-                             substring_sample_mod=16)
+                             substring_sample_mod=16, num_partitions=8,
+                             cc_driver_max_edges=0, cc_max_rounds=5, hash_version=2)
         with open(path, "w") as fh:
             json.dump(man, fh)
 
@@ -210,6 +211,22 @@ def test_load_result_rejects_work_dir_of_another_signer(tmp_path):
             json.dump({"config": snapshot, "data_dir": "data"}, fh)
 
     with pytest.raises(ValueError, match="oph"):
+        NearDupPipeline.load_result(str(tmp_path))
+
+
+def test_load_result_rejects_work_dir_of_another_hash_version(tmp_path):
+    """Doc ids and bucket keys of another string-hash version never
+    match this version's, so a work_dir whose manifests record hash
+    version 1 must not load and seed increments."""
+    from fastdup_ray.pipelines.neardup import NearDupPipeline
+
+    snapshot = dict(DedupConfig().to_dict(), hash_version=1)
+    for stage in ("docs", "signatures", "pairs", "pair_scores", "components"):
+        os.makedirs(tmp_path / stage)
+        with open(tmp_path / stage / "manifest.json", "w") as fh:
+            json.dump({"config": snapshot, "data_dir": "data"}, fh)
+
+    with pytest.raises(ValueError, match="hash version 1"):
         NearDupPipeline.load_result(str(tmp_path))
 
 

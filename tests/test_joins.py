@@ -4,6 +4,8 @@ property test over join types, key kinds, null keys, list payloads,
 empty sides, 1-8 partitions and both sides of the broadcast choice,
 plus the fixed cases."""
 
+from unittest import mock
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -13,6 +15,7 @@ import ray.data as rd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fastdup_ray.relational import ops
 from fastdup_ray.relational.ops import cogroup_anti_join, hash_join
 
 KEYS = {"int": (["k"], ["rk"]), "str": (["s"], ["rs"]),
@@ -95,6 +98,7 @@ def test_joins_match_pandas_oracle(ray_session, case):
     block has zero rows."""
     (lblocks, rblocks), key_kind, parts = case
     lks, rks = KEYS[key_kind]
+    width = mock.patch.object(ops, "exchange_width", lambda n: parts)
     lt, rt = pa.concat_tables(lblocks), pa.concat_tables(rblocks)
     ldf, rdf = lt.to_pandas(), rt.to_pandas()
     lds, rds = rd.from_arrow(lblocks), rd.from_arrow(rblocks)
@@ -104,14 +108,15 @@ def test_joins_match_pandas_oracle(ray_session, case):
         want = _oracle(ldf, rdf, lks, rks, how)
         if how == "anti":
             cols = lt.column_names
-            runs = [cogroup_anti_join(lds, rds, on=tuple(lks), right_on=tuple(rks),
-                                      num_parts=parts)]
+            with width:
+                runs = [cogroup_anti_join(lds, rds, on=tuple(lks), right_on=tuple(rks))]
         else:
             cols = lt.column_names + payload
-            runs = [hash_join(lds, rds, on=tuple(lks), right_on=tuple(rks),
-                              join_type=how, num_partitions=parts,
-                              broadcast_rows=broadcast_rows)
-                    for broadcast_rows in (4_000_000, 0)]
+            runs = []
+            for broadcast_rows in (ops._BROADCAST_ROWS, 0):
+                with width, mock.patch.object(ops, "_BROADCAST_ROWS", broadcast_rows):
+                    runs.append(hash_join(lds, rds, on=tuple(lks), right_on=tuple(rks),
+                                          join_type=how))
         for got in runs:
             schema = got.schema().base_schema
             assert schema.names == cols, how
@@ -129,9 +134,10 @@ def test_join_column_collision_is_an_error(ray_session):
     name is a ValueError, on both plans."""
     left = rd.from_arrow(pa.table({"k": [1, 2], "v": ["a", "b"]}))
     right = rd.from_arrow(pa.table({"rk": [1], "v": ["c"]}))
-    for broadcast_rows in (4_000_000, 0):
-        with pytest.raises(ValueError, match="column collision"):
-            hash_join(left, right, on="k", right_on="rk", broadcast_rows=broadcast_rows)
+    for broadcast_rows in (ops._BROADCAST_ROWS, 0):
+        with (pytest.raises(ValueError, match="column collision"),
+              mock.patch.object(ops, "_BROADCAST_ROWS", broadcast_rows)):
+            hash_join(left, right, on="k", right_on="rk")
 
 
 def test_cogroup_anti_join(ray_session):
@@ -149,7 +155,7 @@ def test_cogroup_anti_join(ray_session):
     right = pd.DataFrame({"rk": rng.integers(0, 100_000, 800)})
     got = cogroup_anti_join(rd.from_pandas(left).repartition(9),
                             rd.from_pandas(right).repartition(5),
-                            on="k", right_on="rk", num_parts=16).to_pandas()
+                            on="k", right_on="rk").to_pandas()
     truth = left[~left["k"].isin(set(right["rk"]))]
     key = ["k", "v"]
     got = got[key].astype(np.int64).sort_values(key).reset_index(drop=True)
@@ -157,7 +163,7 @@ def test_cogroup_anti_join(ray_session):
     pd.testing.assert_frame_equal(got, truth)
 
 
-def test_hash_join_broadcast_matches_shuffle(ray_session):
+def test_hash_join_broadcast_matches_shuffle(ray_session, monkeypatch):
     """The broadcast small-side path must return exactly what the
     shuffle path returns (left key kept, right key dropped)."""
     import pandas as pd
@@ -173,9 +179,8 @@ def test_hash_join_broadcast_matches_shuffle(ray_session):
     rds = rd.from_pandas(right)
 
     bc = hash_join(lds, rds, on="k", right_on="rk").to_pandas()
-    sh = hash_join(
-        lds, rds, on="k", right_on="rk", broadcast_rows=0
-    ).to_pandas()
+    monkeypatch.setattr(ops, "_BROADCAST_ROWS", 0)
+    sh = hash_join(lds, rds, on="k", right_on="rk").to_pandas()
     key = ["k", "lv", "name"]
     assert sorted(bc.columns) == sorted(sh.columns) == sorted(key)
     bc = bc[key].sort_values(key).reset_index(drop=True)
@@ -216,7 +221,7 @@ def test_hash_join_broadcast_composite_keys(ray_session):
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
 
-def test_hash_join_broadcast_empty_left_blocks(ray_session):
+def test_hash_join_broadcast_empty_left_blocks(ray_session, monkeypatch):
     """Broadcast-join output must not carry schema-less empty blocks
     (zero-row shuffle blocks bypass map_batches UDFs): chaining a second
     join after a partitioned_groupby left side must work."""
@@ -229,8 +234,10 @@ def test_hash_join_broadcast_empty_left_blocks(ray_session):
     def agg(df):
         return df.groupby("k", as_index=False).agg(s=("v", "sum"))
 
-    # 64 partitions >> 7 keys -> the sort shuffle emits many empty blocks
-    lds = partitioned_groupby(rd.from_pandas(left), "k", agg, num_parts=32)
+    # 32 partitions >> 7 keys: most partitions have no rows
+    monkeypatch.setattr(ops, "exchange_width", lambda n: 32)
+    lds = partitioned_groupby(rd.from_pandas(left), "k", agg)
+    monkeypatch.undo()
     r1 = pd.DataFrame({"rk": np.arange(7), "name": [f"n{i}" for i in range(7)]})
     r2 = pd.DataFrame({"k2": np.arange(7), "extra": np.arange(7) * 3})
     j1 = hash_join(lds, rd.from_pandas(r1), on="k", right_on="rk").materialize()
@@ -271,7 +278,6 @@ def test_asof_join_matches_pandas_oracle(ray_session):
         rd.from_pandas(left).repartition(9),
         rd.from_pandas(right).repartition(7),
         on="t", right_on="rt", by="k", right_by="rk", tiebreak=["rid"],
-        num_parts=16,
     ).to_pandas()
 
     ls = left.sort_values("t", kind="mergesort")
@@ -297,7 +303,7 @@ def test_cogroup_anti_join_string_keys(ray_session):
     right = pd.DataFrame({"ru": [f"https://site{i}.com/p" for i in range(0, 300, 3)]})
     got = cogroup_anti_join(
         rd.from_pandas(left).repartition(4), rd.from_pandas(right),
-        on="u", right_on="ru", num_parts=8,
+        on="u", right_on="ru",
     ).to_pandas()
     want = left[~left["u"].isin(set(right["ru"]))]
     assert sorted(got["v"].astype(int)) == sorted(want["v"])

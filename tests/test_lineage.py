@@ -98,6 +98,7 @@ def test_killed_join_reduce_task_is_retried(ray_session, tmp_path, monkeypatch):
 
     from fastdup_ray.relational import ops
 
+    monkeypatch.setattr(ops, "_BROADCAST_ROWS", 0)  # the exchange plan
     n = 400
     left = pa.table({"k": pa.array([i % 53 for i in range(n)], pa.int64()),
                      "lv": pa.array(range(n), pa.int64())})
@@ -108,8 +109,7 @@ def test_killed_join_reduce_task_is_retried(ray_session, tmp_path, monkeypatch):
         out = ops.hash_join(
             rd.from_arrow([left.slice(i, 100) for i in range(0, n, 100)]),
             rd.from_arrow([right.slice(0, 25), right.slice(25)]),
-            on="k", right_on="rk", join_type="left_outer", num_partitions=4,
-            broadcast_rows=0,
+            on="k", right_on="rk", join_type="left_outer",
         ).to_arrow_refs()
         t = pa.concat_tables(ray.get(out))
         return sorted(zip(*(t[c].to_pylist() for c in ("k", "lv", "rl"))), key=repr)

@@ -1,10 +1,13 @@
 """Bigram-LM scoring: semantic sanity + parallelism invariance (the SQL
 hash-match itself runs in test_queries.py via the CHECKED list)."""
 
+from unittest import mock
+
 import numpy as np
 import pyarrow as pa
 import ray.data as rd
 
+from fastdup_ray.relational import ops
 from fastdup_ray.stages.lm import (lm_cross_entropy, train_bigram_counts,
                                    train_vocab)
 
@@ -43,8 +46,7 @@ def test_bigram_driver_table_capped(ray_session):
     cats = train_vocab(ds, 5000) + ["<unk>"]
     full = train_bigram_counts(ds, cats)
     assert len(full) > 640  # the synthetic corpus really is type-rich
-    capped = train_bigram_counts(ds, cats, max_bigram_types=640,
-                                 num_parts=16)
+    capped = train_bigram_counts(ds, cats, max_bigram_types=640)
     assert len(capped) <= 640
     # the kept rows carry the exact global counts of the uncapped table
     merged = capped.merge(full, on="k", suffixes=("_cap", "_full"))
@@ -53,6 +55,25 @@ def test_bigram_driver_table_capped(ray_session):
     loose = train_bigram_counts(ds, cats, max_bigram_types=10_000_000)
     assert (loose.sort_values("k").reset_index(drop=True)
             .equals(full.sort_values("k").reset_index(drop=True)))
+
+
+def test_bigram_table_exact_when_types_fit_budget(ray_session):
+    """40 docs in one block give exactly 2,000 bigram types: a budget of
+    2,000 returns the whole table, and a smaller budget the global top
+    rows by (count desc, key asc), whatever the exchange width."""
+    rows = [" ".join(f"t{d}_{i}" for i in range(50)) for d in range(40)]
+    ds = _docs(rows)
+    cats = train_vocab(ds, 5000) + ["<unk>"]
+    full = train_bigram_counts(ds, cats).sort_values("k").reset_index(drop=True)
+    assert len(full) == 2000
+    fit = train_bigram_counts(ds, cats, max_bigram_types=2000)
+    assert fit.sort_values("k").reset_index(drop=True).equals(full)
+    top = (full.sort_values(["c", "k"], ascending=[False, True])
+           .head(640).sort_values("k").reset_index(drop=True))
+    for width in (1, 3):
+        with mock.patch.object(ops, "exchange_width", lambda n: width):
+            capped = train_bigram_counts(ds, cats, max_bigram_types=640)
+        assert capped.sort_values("k").reset_index(drop=True).equals(top), width
 
 
 def test_parallelism_invariance(ray_session):

@@ -18,7 +18,9 @@ from fastdup_ray.config import DedupConfig
 from fastdup_ray.functions.hashing import id63
 from fastdup_ray.functions.minhash import exact_jaccard_pairs
 from fastdup_ray.pipelines.neardup import NearDupPipeline
+from fastdup_ray.relational import ops
 from fastdup_ray.sources.pages import synthesize_pages
+from fastdup_ray.stages import components
 from fastdup_ray.stages.components import union_find_oracle
 
 N_DOCS = 400
@@ -30,10 +32,7 @@ def oracle():
     texts = pages["text"].to_pylist()
     urls = pages["url"].to_pylist()
     ids = id63(urls)
-    # cc_driver_max_edges=0 forces the DISTRIBUTED CC route (star
-    # contraction) — the at-scale route this suite exists to validate
-    # (the driver union-find route is oracle-exact by construction)
-    cfg = DedupConfig(cc_driver_max_edges=0)
+    cfg = DedupConfig()
     valid = [
         i
         for i in range(len(texts))
@@ -61,7 +60,13 @@ def oracle():
 def result(ray_session, oracle, tmp_path_factory):
     wd = str(tmp_path_factory.mktemp("workdir"))
     pipe = NearDupPipeline(oracle["cfg"], work_dir=wd)
-    res = pipe.run(rd.from_arrow(oracle["pages"]).repartition(8), input_token="fixture-v1")
+    # _DRIVER_MAX_EDGES = 0 forces the DISTRIBUTED CC route (star
+    # contraction) — the at-scale route this suite exists to validate
+    # (the driver union-find route is oracle-exact by construction)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(components, "_DRIVER_MAX_EDGES", 0)
+        res = pipe.run(rd.from_arrow(oracle["pages"]).repartition(8),
+                       input_token="fixture-v1")
     return res
 
 
@@ -177,6 +182,7 @@ def test_sharded_verify_matches_single_shard(ray_session, oracle, tmp_path_facto
         return refs
 
     monkeypatch.setattr(verify, "_build_index", recording_build_index)
+    monkeypatch.setattr(components, "_DRIVER_MAX_EDGES", 0)
 
     def edges(wd, token):
         res = NearDupPipeline(oracle["cfg"], work_dir=wd).run(
@@ -194,3 +200,29 @@ def test_sharded_verify_matches_single_shard(ray_session, oracle, tmp_path_facto
     assert built[1] >= 3
     assert e_one == e_many
     assert len(e_one) > 0
+
+
+def test_outputs_invariant_to_exchange_width(ray_session, oracle, tmp_path_factory,
+                                             monkeypatch):
+    """Every exchange of a run (emission, distinct, star contraction)
+    gives the same sorted pairs, pair_scores and components with the
+    width forced to 1, to 3, and at its derived value."""
+    monkeypatch.setattr(components, "_DRIVER_MAX_EDGES", 0)
+
+    def tables(token):
+        res = NearDupPipeline(
+            oracle["cfg"], work_dir=str(tmp_path_factory.mktemp(token))
+        ).run(rd.from_arrow(oracle["pages"]).repartition(8), input_token=token)
+        return (
+            sorted((r["src"], r["dst"]) for r in res._pairs.take_all()),
+            sorted((r["src"], r["dst"], r["distance"])
+                   for r in res.pair_scores().take_all()),
+            sorted((r["doc_id"], r["component_id"])
+                   for r in res.connected_components().take_all()),
+        )
+
+    derived = tables("width-derived")
+    assert all(derived)
+    for width in (1, 3):
+        monkeypatch.setattr(ops, "exchange_width", lambda n, w=width: w)
+        assert tables(f"width-{width}") == derived, width

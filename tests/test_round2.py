@@ -1,6 +1,5 @@
 """Round-2 additions: own-code hash vectors, large-doc minhash, outlier
-semantics, substring multi-run recall, annotation url coalesce, pagerank,
-hierarchical components, classification report, sharded search,
+semantics, substring multi-run recall, classification report, sharded search,
 vectorized stats parity, galleries, file:// work_dir."""
 
 import numpy as np
@@ -46,41 +45,6 @@ def test_minhash_large_doc_over_chunk_budget():
     assert (solo[0] == sig[1]).all()
 
 
-# ------------------------------------------------------------------- pagerank
-def test_pagerank_matches_dense_reference(ray_session):
-    from fastdup_ray.stages.pagerank import pagerank
-
-    # planted graph: triangle (1,2,3) + edge (4,5), node ids arbitrary
-    edges = pa.table(
-        {
-            "src": pa.array([10, 10, 20, 40], pa.int64()),
-            "dst": pa.array([20, 30, 30, 50], pa.int64()),
-        }
-    )
-    ds = rd.from_arrow(edges)
-    out = {r["node"]: r for r in pagerank(ds, DedupConfig(), iters=10).take_all()}
-    # dense numpy reference on the symmetrized graph
-    nodes = [10, 20, 30, 40, 50]
-    idx = {n: i for i, n in enumerate(nodes)}
-    adj = np.zeros((5, 5))
-    for s, t in [(10, 20), (10, 30), (20, 30), (40, 50)]:
-        adj[idx[s], idx[t]] = adj[idx[t], idx[s]] = 1
-    deg = adj.sum(1)
-    pr = np.full(5, 1 / 5)
-    for _ in range(10):
-        pr = (1 - 0.85) / 5 + 0.85 * adj.T @ (pr / deg)
-    for n in nodes:
-        assert abs(out[n]["pagerank"] - pr[idx[n]]) < 1e-9
-        assert out[n]["degree"] == int(deg[idx[n]])
-
-    # distributed path gives identical results
-    cfg0 = DedupConfig(cc_driver_max_edges=0, num_partitions=4)
-    out2 = {r["node"]: r for r in pagerank(ds, cfg0, iters=10).take_all()}
-    for n in nodes:
-        assert abs(out2[n]["pagerank"] - out[n]["pagerank"]) < 1e-9
-        assert out2[n]["degree"] == out[n]["degree"]
-
-
 # ------------------------------------------------------- classification report
 def test_classification_report(ray_session):
     from fastdup_ray.stages.metrics import classification_report
@@ -124,34 +88,6 @@ def test_sharded_search_equals_single(ray_session):
     assert st["n_docs"] > 0 and len(st["shards"]) == 4
 
 
-# ------------------------------------------------------ annotations url keep
-def test_expand_annotations_keeps_phantom_url(ray_session):
-    from fastdup_ray.stages.annotations import ERR_MISSING_DOC, expand_annotations
-
-    docs = rd.from_arrow(
-        pa.table(
-            {
-                "doc_id": pa.array([1, 2], pa.int64()),
-                "url": pa.array(["u1", "u2"]),
-            }
-        )
-    )
-    annots = rd.from_arrow(
-        pa.table(
-            {
-                "url": pa.array(["u2", "phantom://missing"]),
-                "label": pa.array(["x", "y"]),
-            }
-        )
-    )
-    rows = expand_annotations(docs, annots, num_partitions=4).take_all()
-    missing = [r for r in rows if r["annot_error"] == ERR_MISSING_DOC]
-    assert len(missing) == 1
-    # the dangling annotation keeps ITS url, not 'None'/'nan'
-    assert missing[0]["url"] == "phantom://missing"
-    assert missing[0]["label"] == "y"
-
-
 # -------------------------------------------------------------- stats parity
 def test_stats_vectorized_matches_scalar_reference():
     from fastdup_ray.stages.stats import TextStatsStage
@@ -193,7 +129,7 @@ def r2_run(ray_session, tmp_path_factory):
     pages, truth = synthesize_pages(600, seed=5)
     work = tmp_path_factory.mktemp("r2work")
     # file:// URI work_dir exercises the pyarrow.fs checkpoint path
-    pipe = NearDupPipeline(DedupConfig(num_partitions=4), work_dir=f"file://{work}")
+    pipe = NearDupPipeline(DedupConfig(), work_dir=f"file://{work}")
     res = pipe.run(rd.from_arrow(pages).repartition(4), input_token="r2", resume=False)
     return {"res": res, "truth": truth, "work": str(work), "pipe": pipe}
 
@@ -302,50 +238,6 @@ def test_slice_regex_and_two_labels(ray_session):
     assert len(diff) == 2
 
 
-def test_kmeans_assignments_and_cluster_vote(ray_session):
-    from fastdup_ray.stages.ann import (
-        cluster_label_vote,
-        kmeans_assignments,
-        train_ivf_centroids,
-    )
-
-    rng = np.random.default_rng(4)
-    # two well-separated blobs
-    a = rng.normal((5, 0, 0), 0.05, size=(20, 3))
-    b = rng.normal((0, 5, 0), 0.05, size=(20, 3))
-    vecs = np.vstack([a, b])
-    tbl = pa.table(
-        {
-            "vec_id": pa.array(range(40), pa.int64()),
-            "embedding": pa.array([list(map(float, v)) for v in vecs],
-                                  pa.list_(pa.float64())),
-        }
-    )
-    ds = rd.from_arrow(tbl).materialize()
-    cent = train_ivf_centroids(ds, n_centroids=2, sample_rows=40, seed=1)
-    asg = kmeans_assignments(ds, cent).materialize()
-    rows = asg.take_all()
-    assert {r["vec_id"] for r in rows} == set(range(40))
-    by_cluster = {}
-    for r in rows:
-        by_cluster.setdefault(r["cluster"], set()).add(r["vec_id"])
-    # the two blobs separate perfectly
-    assert sorted(len(v) for v in by_cluster.values()) == [20, 20]
-    assert all(0 <= r["distance"] <= 1.0 for r in rows)
-
-    labels = rd.from_arrow(
-        pa.table(
-            {
-                "vec_id": pa.array(range(40), pa.int64()),
-                "label": pa.array(["x"] * 20 + ["y"] * 20),
-            }
-        )
-    )
-    votes = cluster_label_vote(asg, labels, num_parts=4).take_all()
-    assert {v["label"] for v in votes} == {"x", "y"}
-    assert all(v["purity"] == 1.0 and v["votes"] == 20 for v in votes)
-
-
 def test_multimodal_plumbing(ray_session):
     """Stubbed codec, real plumbing: schema, error codes, determinism,
     actor-pool form, frame explosion, byte-identical near-dup pairing."""
@@ -392,42 +284,6 @@ def test_multimodal_plumbing(ray_session):
     pairs = media_near_dup_pairs(decoded).take_all()
     assert any(
         {p["src"], p["dst"]} == {0, 10} and p["distance"] == 1.0 for p in pairs
-    )
-
-
-def test_hierarchical_components(ray_session):
-    """Two-level fixture: components A (docs of theme X) and B (slightly
-    mutated theme X) must cluster together at the lower threshold; C
-    (different theme) must not."""
-    from fastdup_ray.stages.hierarchy import hierarchical_components
-
-    rng = np.random.default_rng(9)
-    base = " ".join(rng.choice(["alpha", "beta", "gamma", "delta"], 200))
-    other = " ".join(rng.choice(["omega", "sigma", "tau", "phi"], 200))
-    mut = base.replace("alpha", "alphaz", 3)  # ~ near-dup of base at 0.7+
-    docs = pa.table(
-        {
-            "doc_id": pa.array([1, 2, 3, 4, 5, 6], pa.int64()),
-            "text": pa.array([base, base, mut, mut, other, other]),
-        }
-    )
-    comps = pa.table(
-        {
-            "doc_id": pa.array([1, 2, 3, 4, 5, 6], pa.int64()),
-            "component_id": pa.array([1, 1, 3, 3, 5, 5], pa.int64()),
-        }
-    )
-    clusters, edges = hierarchical_components(
-        rd.from_arrow(docs), rd.from_arrow(comps),
-        DedupConfig(num_partitions=4), cluster_threshold=0.7,
-    )
-    cl = {r["component_id"]: r["cluster_id"] for r in clusters.take_all()}
-    assert set(cl) == {1, 3, 5}
-    assert cl[1] == cl[3] == 1, cl   # A and B merge (cluster = min comp id)
-    assert cl[5] == 5                # C stays apart
-    e = edges.take_all()
-    assert any(
-        {r["cluster_from"], r["cluster_to"]} == {1, 3} for r in e
     )
 
 

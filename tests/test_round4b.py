@@ -51,29 +51,6 @@ def test_semdedup_keeps_one_per_group(ray_session):
     assert all(rep_of[r] == r for r in out.rep_id)
 
 
-def test_semdedup_parallelism_invariant(ray_session):
-    """Same output table at num_parts=1 and num_parts=8 and any block
-    split — rep assignment must not depend on partitioning."""
-    from fastdup_ray.stages.semdedup import semdedup
-
-    rng = np.random.default_rng(11)
-    vecs = rng.normal(size=(60, 8))
-    vecs[20:25] = vecs[20] + rng.normal(scale=1e-4, size=(5, 8))
-    vecs[40:43] = vecs[40] + rng.normal(scale=1e-4, size=(3, 8))
-    cent = vecs[:4] / np.linalg.norm(vecs[:4], axis=1, keepdims=True)
-
-    outs = []
-    for parts in (1, 8):
-        out = semdedup(_emb_ds(vecs), cent, threshold=0.95,
-                       num_parts=parts).to_pandas()
-        outs.append(out.sort_values("vec_id").reset_index(drop=True))
-    pd.testing.assert_frame_equal(outs[0], outs[1])
-    # the two planted groups each keep exactly one row
-    kept = outs[0]
-    assert kept[(kept.vec_id >= 20) & (kept.vec_id < 25)].keep.sum() == 1
-    assert kept[(kept.vec_id >= 40) & (kept.vec_id < 43)].keep.sum() == 1
-
-
 def _docs_ds(texts, sources=None):
     n = len(texts)
     cols = {

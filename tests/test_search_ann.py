@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pyarrow as pa
 import pytest
 
 import ray
@@ -179,3 +180,47 @@ def test_pinned_trainer_parallelism_invariant(ray_session):
     c_small_8 = train_ivf_centroids_pinned(ds.repartition(8), 8,
                                            sample_rows=64)
     assert np.array_equal(c_small_1, c_small_8)
+
+
+def test_kmeans_assignments_and_cluster_vote(ray_session):
+    from fastdup_ray.stages.ann import (
+        cluster_label_vote,
+        kmeans_assignments,
+        train_ivf_centroids,
+    )
+
+    rng = np.random.default_rng(4)
+    # two well-separated blobs
+    a = rng.normal((5, 0, 0), 0.05, size=(20, 3))
+    b = rng.normal((0, 5, 0), 0.05, size=(20, 3))
+    vecs = np.vstack([a, b])
+    tbl = pa.table(
+        {
+            "vec_id": pa.array(range(40), pa.int64()),
+            "embedding": pa.array([list(map(float, v)) for v in vecs],
+                                  pa.list_(pa.float64())),
+        }
+    )
+    ds = rd.from_arrow(tbl).materialize()
+    cent = train_ivf_centroids(ds, n_centroids=2, sample_rows=40, seed=1)
+    asg = kmeans_assignments(ds, cent).materialize()
+    rows = asg.take_all()
+    assert {r["vec_id"] for r in rows} == set(range(40))
+    by_cluster = {}
+    for r in rows:
+        by_cluster.setdefault(r["cluster"], set()).add(r["vec_id"])
+    # the two blobs separate perfectly
+    assert sorted(len(v) for v in by_cluster.values()) == [20, 20]
+    assert all(0 <= r["distance"] <= 1.0 for r in rows)
+
+    labels = rd.from_arrow(
+        pa.table(
+            {
+                "vec_id": pa.array(range(40), pa.int64()),
+                "label": pa.array(["x"] * 20 + ["y"] * 20),
+            }
+        )
+    )
+    votes = cluster_label_vote(asg, labels).take_all()
+    assert {v["label"] for v in votes} == {"x", "y"}
+    assert all(v["purity"] == 1.0 and v["votes"] == 20 for v in votes)

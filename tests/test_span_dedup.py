@@ -109,15 +109,17 @@ def test_span_dedup_end_to_end(ray_session):
     assert out == {10: "x0 x1 x2 a b", 20: "tail1 tail2", 30: "u v w"}
 
 
-def test_cogroup_rebuild_equals_broadcast(ray_session):
+def test_cogroup_rebuild_equals_broadcast(ray_session, monkeypatch):
+    from fastdup_ray.stages import span_dedup
+
     docs = rd.read_parquet("/root/testdata/sf0.001/documents.parquet",
                            columns=["doc_id", "text"]).repartition(8)
     a = sorted((r["doc_id"], r["text_clean"]) for r in
                span_dedup_docs(docs, window=13).take_all())
-    # broadcast_budget=0 forces the cogroup shuffle path
+    # a zero budget forces the cogroup shuffle path
+    monkeypatch.setattr(span_dedup, "_BROADCAST_KILL_BUDGET", 0)
     b = sorted((r["doc_id"], r["text_clean"]) for r in
-               span_dedup_docs(docs, window=13,
-                               broadcast_budget=0).take_all())
+               span_dedup_docs(docs, window=13).take_all())
     assert a == b
 
 

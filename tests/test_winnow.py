@@ -107,8 +107,7 @@ def test_winnow_pair_counts_ray_vs_sql(ray_session):
 
     docs = _ascii_docs(n=30, seed=13)
     fps = winnow_fingerprints(rd.from_arrow(docs).repartition(4), k=K, w=W)
-    pairs = winnow_pair_counts(fps, min_shared=2, max_df=8,
-                               num_partitions=8).to_pandas()
+    pairs = winnow_pair_counts(fps, min_shared=2, max_df=8).to_pandas()
     got = sorted(map(tuple, pairs[["src", "dst", "n_shared"]].values.tolist()))
 
     con = duckdb.connect()

@@ -101,8 +101,7 @@ def main() -> None:
     def mk_pipe(tag: str) -> NearDupPipeline:
         wd = f"/dev/shm/fastdup_ray_incr_{tag}"
         shutil.rmtree(wd, ignore_errors=True)
-        cfg = DedupConfig(num_partitions=min(64, ncpu))
-        return NearDupPipeline(cfg, work_dir=wd)
+        return NearDupPipeline(DedupConfig(), work_dir=wd)
 
     probe0 = wait_for_healthy_host(
         float(os.environ.get("BENCH_HOST_WAIT_S", "900")))

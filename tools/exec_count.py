@@ -14,6 +14,9 @@ operation `--ops` times with two counters installed in this process:
   thread (the plain tasks the program starts itself, plus the metadata
   tasks of `ray.data.from_arrow_refs`, marked "via ray.data"), by call
   site; the executor threads' own map tasks are summed separately;
+- every hash exchange (`ops.cogroup`) with its call site (the innermost
+  `fastdup_ray` frame outside `relational/ops.py`), its non-empty input
+  blocks and its width P (`ops.exchange_width`);
 - the blocks that the operation's Parquet reads produce, and the
   blocks each execution outputs. The plain tasks follow the stages'
   block counts, and a stage map can cut the same input into a varying
@@ -53,14 +56,16 @@ import traceback
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(REPO, "perfbench")
 PKG = os.path.join(REPO, "fastdup_ray") + os.sep
+OPS = os.path.join(PKG, "relational", "ops.py")
 
 
-def call_site(stack) -> str:
-    """`module.function:line` of the innermost fastdup_ray frame, marked
-    when a ray.data frame sits between it and the submission."""
+def call_site(stack, skip: str | None = None) -> str:
+    """`module.function:line` of the innermost fastdup_ray frame (not in
+    the file `skip`), marked when a ray.data frame sits between it and
+    the submission."""
     via = False
     for frame in reversed(stack):
-        if frame.filename.startswith(PKG):
+        if frame.filename.startswith(PKG) and frame.filename != skip:
             mod = os.path.relpath(frame.filename, REPO)[:-3].replace(os.sep, ".")
             site = f"{mod}.{frame.name}:{frame.lineno}"
             return site + (" (via ray.data)" if via else "")
@@ -104,13 +109,17 @@ class Counters:
         self.tasks: collections.Counter = collections.Counter()
         self.executor_tasks = 0
         self.read_ops: list = []
+        self.exchanges: list[list] = []  # [site, input blocks, P]
 
     def install(self):
         from ray.data._internal.execution.streaming_executor import StreamingExecutor
         from ray.remote_function import RemoteFunction
 
-        self._orig = (StreamingExecutor.execute, RemoteFunction._remote)
-        orig_execute, orig_remote = self._orig
+        from fastdup_ray.relational import ops
+
+        self._orig = (StreamingExecutor.execute, RemoteFunction._remote,
+                      ops.exchange_width)
+        orig_execute, orig_remote, orig_width = self._orig
         counters = self
 
         def execute(executor, dag, *args, **kwargs):
@@ -141,14 +150,25 @@ class Counters:
                     counters.tasks[f"{site} [{fn._function_name}]"] += 1
             return orig_remote(fn, *args, **kwargs)
 
+        def exchange_width(num_blocks):
+            width = orig_width(num_blocks)
+            site = call_site(traceback.extract_stack(), skip=OPS)
+            with counters.lock:
+                counters.exchanges.append([site, num_blocks, width])
+            return width
+
         StreamingExecutor.execute = execute
         RemoteFunction._remote = remote
+        ops.exchange_width = exchange_width
 
     def uninstall(self):
         from ray.data._internal.execution.streaming_executor import StreamingExecutor
         from ray.remote_function import RemoteFunction
 
-        StreamingExecutor.execute, RemoteFunction._remote = self._orig
+        from fastdup_ray.relational import ops
+
+        (StreamingExecutor.execute, RemoteFunction._remote,
+         ops.exchange_width) = self._orig
 
     def snapshot(self) -> dict:
         return {
@@ -160,6 +180,8 @@ class Counters:
             "executor_tasks": self.executor_tasks,
             "read_blocks": sum(op.metrics.num_task_outputs_generated
                                for op in self.read_ops),
+            "exchanges": [{"site": s, "blocks": b, "width": p}
+                          for s, b, p in self.exchanges],
         }
 
 
@@ -280,6 +302,8 @@ def main() -> int:
                   f"        {e['operators']}")
         for site, n in snap["plain_task_sites"].items():
             print(f"  task  {n:4d}  {site}")
+        for x in snap["exchanges"]:
+            print(f"  xchg  {x['site']} -> {x['blocks']} input blocks, P {x['width']}")
     if args.json:
         with open(args.json, "w") as fh:
             json.dump({"workload": args.workload, "seed": args.seed, "ops": ops},
