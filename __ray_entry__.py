@@ -13,7 +13,6 @@ here (or in fastdup_ray) calls ray.init()/ray.shutdown().
 
 from __future__ import annotations
 
-import os
 import shutil
 from collections.abc import Callable
 from typing import Any

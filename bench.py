@@ -75,8 +75,6 @@ def run_bench() -> dict:
     # (14.1s vs 37.4s on the 13.9M-pair distinct); one config for all runs
     ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
 
-    import ray.data as rd
-
     from fastdup_ray.config import DedupConfig
     from fastdup_ray.pipelines.neardup import NearDupPipeline
     from fastdup_ray.pipelines.queries import queries as query_catalog
@@ -188,7 +186,7 @@ def run_bench() -> dict:
         "text_quality", "sessionize", "label_score",
         "hierarchical_components", "lang_confusion", "bpe_token_counts",
         "zero_shot_labels", "winnow_fingerprints", "span_dedup_spans",
-        "pii_redact", "substring_dup_pairs_winnow", "doc_chunks",
+        "pii_redact", "doc_chunks",
         "contamination_ngrams", "temperature_mix",
         # round-4b additions
         "semdedup", "dsir_weights", "pmi_collocations", "heavy_hitters",

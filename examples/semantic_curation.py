@@ -1,4 +1,4 @@
-"""Target-aware semantic curation: the model-signal half of a
+r"""Target-aware semantic curation: the model-signal half of a
 pre-training data pipeline, composed from this engine's stages —
 
   embeddings

@@ -12,7 +12,6 @@ All functions take/return pyarrow Arrays (or accept a Table + column).
 
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 import pyarrow as pa
 
@@ -81,15 +80,3 @@ def _to_pylist(arr):
     if isinstance(arr, (pa.Array, pa.ChunkedArray)):
         return arr.to_pylist()
     return list(arr)
-
-
-def add_url_columns(ds, *, url_col: str = "url"):
-    """Dataset helper: append `url_norm`, `domain`, `stem` columns."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        col = batch[url_col]
-        batch = batch.append_column("url_norm", normalize_urls(col))
-        batch = batch.append_column("domain", domain_of(col))
-        return batch.append_column("stem", path_stem(col))
-
-    return ds.map_batches(fn, batch_format="pyarrow")

@@ -24,11 +24,10 @@ import pyarrow.compute as pc
 
 import ray
 import ray.data as rd
-from ray.data.aggregate import Count, Max, Min, Sum
+from ray.data.aggregate import Max, Sum
 
 from fastdup_ray.config import DedupConfig
 from fastdup_ray.relational.ops import (
-    broadcast_semi_join,
     combine_aggregate,
     hash_join,
     partitioned_groupby,
@@ -636,22 +635,6 @@ FROM g a JOIN g b ON a.gram = b.gram AND a.doc_id < b.doc_id
 """
 
 
-def q_substring_dup_pairs_winnow(sf_dir: str):
-    """The same exact pair set as `substring_dup_pairs`, by the same
-    winnow anchors: rightmost-min selection over (len-window+1)-hash
-    windows guarantees every shared >=128-byte run shares an anchor
-    (zero misses, because every selected occurrence per doc per
-    fingerprint is emitted — up to the max_bucket_pairs skew cap) at ~3%
-    anchor density — the scale-affordable suffix-array-exact path.
-    Hash-matching the DuckDB oracle of all 128-char substrings IS the
-    guarantee's end-to-end proof."""
-    from fastdup_ray.stages.substring import substring_pairs
-
-    cfg = DedupConfig(substring_len=128)
-    pairs = substring_pairs(_t(sf_dir, "documents", ["doc_id", "text"]), cfg)
-    return pairs.select_columns(["src", "dst"])
-
-
 def q_embedding_dup_pairs(sf_dir: str, threshold: float = 0.4):
     """Embedding-cosine near-duplicate pairs (exact, blocked all-pairs):
     every (src < dst) vec pair with cosine >= threshold. The embedding
@@ -681,7 +664,7 @@ def q_embedding_lsh_pairs(sf_dir: str, threshold: float = 0.9):
     these fixtures (max pairwise cosine ~0.51, no pairs at 0.9) it
     verifies the no-false-positives half with an empty expected set.
     The recall half is pytest-gated on planted near-dup vectors
-    (tests/test_round3.py::test_srp_lsh_recall_vs_exact, >= 0.95 at
+    (tests/test_search_ann.py::test_srp_lsh_recall_vs_exact, >= 0.95 at
     cos 0.9 with 16 bands x 8 bits)."""
     from fastdup_ray.stages.ann import srp_lsh_dup_pairs
 
@@ -1598,7 +1581,7 @@ def q_outliers(sf_dir: str):
     # distinct-value counts under the budget (6dp-rounded Jaccard =>
     # <= 1e6 distinct, so the oracle-matched exact path always runs at
     # catalog scales), fixed-grid histogram with a documented tolerance
-    # above it (A7 contract; tests/test_round4.py pins the grid path)
+    # above it (A7 contract; tests/test_groupby_exchange.py pins the grid path)
     from fastdup_ray.relational.ops import distinct_value_quantile
 
     thr, _diag = distinct_value_quantile(
@@ -3037,7 +3020,7 @@ def q_heavy_hitters(sf_dir: str, capacity: int = 1 << 15, k: int = 50):
     count) no reduction fires, counts are exact and the SQL twin pins
     them; the approximation guarantee at small capacity
     (c_hat <= c <= c_hat + N/(cap+1)) is pytest-gated in
-    tests/test_round4b.py."""
+    tests/test_lm.py."""
     from fastdup_ray.stages.lm import _token_regions
     from fastdup_ray.stages.sketches import misra_gries_counts
 
@@ -3381,11 +3364,14 @@ def queries():
     # exchange took its width from its input blocks and the cluster's
     # CPUs (four exchange-free padding queries moved out for them).  The
     # rest of the window is padded with the
-    # cheapest queries that already hold two rounds of driver evidence.
+    # cheapest queries that already hold two rounds of driver evidence;
+    # word_repetition_stats (exchange-free, with driver rows) moved in
+    # when substring_dup_pairs_winnow, a second copy of
+    # substring_dup_pairs, was deleted.
     # Rotate again next round so every query gets a driver row within two
     # rounds.  Local full-catalog sweep: tools/correctness_dryrun.py.
     return {
-        # --- 22 queries new in r3/r4, first driver check in r5 ---
+        # --- 21 queries new in r3/r4, first driver check in r5 ---
         "doc_captions": q_doc_captions,
         "entity_span_counts": q_entity_span_counts,
         "zero_shot_labels": q_zero_shot_labels,
@@ -3401,7 +3387,6 @@ def queries():
         "shuffle_positions": q_shuffle_positions,
         "vocab_topk": q_vocab_topk,
         "lm_cross_entropy": q_lm_cross_entropy,
-        "substring_dup_pairs_winnow": q_substring_dup_pairs_winnow,
         "doc_chunks": q_doc_chunks,
         "semdedup": q_semdedup,
         "dsir_weights": q_dsir_weights,
@@ -3441,8 +3426,8 @@ def queries():
         "token_pack_shards": q_token_pack_shards,
         "hll_distinct_grams": q_hll_distinct_grams,
         "ivf_probe_topk": q_ivf_probe_topk,
-        # --- beyond the driver window (driver rows banked r1-r4) ---
         "word_repetition_stats": q_word_repetition_stats,
+        # --- beyond the driver window (driver rows banked r1-r4) ---
         "contamination_ngrams": q_contamination_ngrams,
         "lang_summary": q_lang_summary,
         "chars_p90": q_chars_p90,
@@ -3534,7 +3519,6 @@ def oracle_sql():
         "shuffle_positions": SQL_SHUFFLE_POSITIONS,
         "vocab_topk": SQL_VOCAB_TOPK,
         "lm_cross_entropy": SQL_LM_CROSS_ENTROPY,
-        "substring_dup_pairs_winnow": SQL_SUBSTRING_DUP_PAIRS,
         "doc_chunks": SQL_DOC_CHUNKS,
         # LSH candidates are probabilistic, but exact-Jaccard verify makes
         # the final labeling equal the exact-shingle oracle at recall 1.0

@@ -20,7 +20,6 @@ import html as _html
 import os
 from urllib.parse import urlparse
 
-import numpy as np
 import pandas as pd
 import pyarrow as pa
 

@@ -69,64 +69,3 @@ def write_dedup_corpus(result, out_dir: str) -> dict:
     with open(os.path.join(out_dir, "_summary.json"), "w") as fh:
         json.dump(summary, fh, indent=1)
     return summary
-
-
-def export_projector(embeddings, out_dir: str, *, max_rows: int = 900,
-                     label_col: str | None = None, seed: int = 42,
-                     embedding_col: str = "embedding",
-                     id_col: str = "vec_id",
-                     sprite_text_col: str | None = None,
-                     sprite_cell: int = 32) -> dict:
-    """O6/K7 analog of the reference's tensorboard projector export
-    (tensorboard_projector.py:16-171: sample <=900 embeddings + a labels
-    tsv + a sprite image of thumbnails): uniformly sample the embedding
-    table, write `vectors.tsv` (tab-separated floats, one row per
-    vector) and `metadata.tsv` (id [+ label]) — the format the
-    tensorboard embedding projector loads directly. When
-    `sprite_text_col` names a text column on the sampled rows, also
-    write `sprite.ppm`: a ceil(sqrt(n))-grid sprite sheet of
-    `sprite_cell`-square per-doc thumbnails (`text_thumbnail` rasters,
-    row-major tile order matching the vector order — the projector's
-    sprite contract), encoded with the shipped pure-python P6 codec
-    (this container has no PNG encoder; same documented boundary as the
-    media decode stage). Sampling happens in the Dataset; only
-    <= max_rows reach the driver."""
-    import numpy as np
-
-    n = embeddings.count()
-    frac = min(1.0, (max_rows * 1.25) / max(n, 1))
-    rows = embeddings.random_sample(frac, seed=seed).limit(max_rows).take_all()
-    rows.sort(key=lambda r: r[id_col])
-
-    os.makedirs(out_dir, exist_ok=True)
-    vec_path = os.path.join(out_dir, "vectors.tsv")
-    meta_path = os.path.join(out_dir, "metadata.tsv")
-    with open(vec_path, "w") as vf:
-        for r in rows:
-            vf.write("\t".join(repr(float(x)) for x in r[embedding_col]) + "\n")
-    with open(meta_path, "w") as mf:
-        if label_col:
-            mf.write(f"{id_col}\t{label_col}\n")
-            for r in rows:
-                mf.write(f"{r[id_col]}\t{r[label_col]}\n")
-        else:
-            for r in rows:
-                mf.write(f"{r[id_col]}\n")
-    out = {"rows": len(rows), "vectors": vec_path, "metadata": meta_path}
-    if sprite_text_col is not None and rows:
-        from fastdup_ray.stages.multimodal import ppm_encode, text_thumbnail
-
-        grid = int(np.ceil(np.sqrt(len(rows)))) or 1
-        sheet = np.full((grid * sprite_cell, grid * sprite_cell, 3), 255,
-                        np.uint8)
-        for i, r in enumerate(rows):
-            y, x = divmod(i, grid)
-            sheet[y * sprite_cell:(y + 1) * sprite_cell,
-                  x * sprite_cell:(x + 1) * sprite_cell] = \
-                text_thumbnail(r[sprite_text_col] or "", sprite_cell)
-        sprite_path = os.path.join(out_dir, "sprite.ppm")
-        with open(sprite_path, "wb") as sf:
-            sf.write(ppm_encode(sheet))
-        out["sprite"] = sprite_path
-        out["sprite_cell"] = sprite_cell
-    return out

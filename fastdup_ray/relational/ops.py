@@ -23,6 +23,9 @@ _JOIN_TYPES = {"inner": (0, 1), "left_outer": (0,), "full_outer": ()}
 _BROADCAST_ROWS = 4_000_000
 _BROADCAST_BYTES = 128 << 20
 
+# combine_aggregate's tree-reduce merges this many partial tables per task
+_MERGE_FAN = 8
+
 
 def hash_join(left, right, *, on, right_on=None, join_type: str = "inner"):
     """Equi-join of two Datasets: "inner", "left_outer" or "full_outer".
@@ -119,7 +122,7 @@ def _key_list(keys) -> list:
     return [keys] if isinstance(keys, str) else list(keys)
 
 
-def combine_aggregate(ds, keys, partial_fn, merge_fn=None, *, fan: int = 8):
+def combine_aggregate(ds, keys, partial_fn, merge_fn=None):
     """Map-side partial aggregation + task-side tree-reduce final merge.
 
     The combiner pattern for LOW-cardinality keys (SURVEY §2.6 A8/A9
@@ -170,15 +173,15 @@ def combine_aggregate(ds, keys, partial_fn, merge_fn=None, *, fan: int = 8):
     # its batch, so one block is already key-unique
     while len(refs) > 1:
         refs = [
-            _merge.remote(*refs[i : i + fan]) for i in range(0, len(refs), fan)
+            _merge.remote(*refs[i : i + _MERGE_FAN])
+            for i in range(0, len(refs), _MERGE_FAN)
         ]
     return rd.from_arrow_refs(refs)
 
 
 def distinct_value_quantile(ds, col: str, q: float, *,
                             distinct_budget: int = 1_000_000,
-                            grid: tuple[float, float] | None = None,
-                            fan: int = 8):
+                            grid: tuple[float, float] | None = None):
     """Bounded-driver-memory quantile of `ds[col]` (A7 contract,
     SURVEY §2.7): threshold = the smallest value v such that
     fraction(rows <= v) >= q.
@@ -216,7 +219,7 @@ def distinct_value_quantile(ds, col: str, q: float, *,
         return pd.DataFrame({"nd": [int(df["nd"].sum())]})
 
     nd_rows = combine_aggregate(
-        ds, [], _distinct_partial, merge_fn=_sum_merge, fan=fan,
+        ds, [], _distinct_partial, merge_fn=_sum_merge,
     ).take_all()
     nd_upper = int(nd_rows[0]["nd"]) if nd_rows else 0
     if nd_upper == 0:
@@ -229,7 +232,6 @@ def distinct_value_quantile(ds, col: str, q: float, *,
             lambda df: df.groupby(col, as_index=False, sort=False).agg(
                 c=(col, "size")
             ),
-            fan=fan,
         ).take_all()
         dist.sort(key=lambda r: r[col])
         total = sum(r["c"] for r in dist)
@@ -261,7 +263,7 @@ def distinct_value_quantile(ds, col: str, q: float, *,
         u, c = np.unique(b, return_counts=True)
         return pd.DataFrame({"bin": u, "c": c})
 
-    hist = combine_aggregate(ds, "bin", _bin_partial, fan=fan).take_all()
+    hist = combine_aggregate(ds, "bin", _bin_partial).take_all()
     hist.sort(key=lambda r: r["bin"])
     total = sum(r["c"] for r in hist)
     cum = 0

@@ -169,114 +169,6 @@ def train_ivf_centroids_pinned(ds, n_centroids: int, *,
     return _normalize(cq.astype(np.float64) / scale)
 
 
-def train_kmeans(ds, n_centroids: int, *, embedding_col: str = "embedding",
-                 iters: int = 10, seed: int = 42,
-                 init_sample_rows: int = 20_000) -> np.ndarray:
-    """Distributed full-EM KMeans (reference run_mode=5 parity,
-    reference __init__.py:2681-2801): every Lloyd iteration scans the
-    FULL table as one map_batches pass emitting per-BLOCK partial sums
-    (one (k, d) matrix + k counts per block), folded by a task-side
-    reduce level so only ~16 partials reach the driver, which updates
-    and re-broadcasts the centroids.
-    Driver memory is O(k*d) regardless of corpus size — unlike
-    `train_ivf_centroids`, which Lloyd-iterates a driver-side sample and
-    exists as the cheap IVF-bootstrap path.
-
-    Vectors are L2-normalized (spherical k-means, cosine assignment like
-    the reference's cosine NN metric); empty clusters keep their previous
-    centroid. Deterministic given (seed, data): seeded init, and
-    per-batch partials are float64 sums whose reduce order only perturbs
-    ~1e-15 relative — assignments are stable for non-degenerate data.
-    """
-    # seeded init from a bounded driver-side sample (k rows of it)
-    cent = train_ivf_centroids(
-        ds, n_centroids, embedding_col=embedding_col,
-        sample_rows=init_sample_rows, iters=0, seed=seed,
-    )
-    k = cent.shape[0]
-
-    for _ in range(iters):
-        ref = ray.put(cent)
-
-        def partial(batch: pa.Table) -> pa.Table:
-            c = ray.get(ref)
-            if batch.num_rows == 0:
-                return pa.table(
-                    {
-                        "sums": pa.array(
-                            [np.zeros(c.size, np.float64)], pa.list_(pa.float64())
-                        ),
-                        "counts": pa.array(
-                            [np.zeros(c.shape[0], np.int64)], pa.list_(pa.int64())
-                        ),
-                    }
-                )
-            _, m = _matrix(batch, embedding_col)
-            mn = _normalize(m)
-            a = (mn @ c.T).argmax(axis=1)
-            order = np.argsort(a, kind="stable")
-            a_s = order.shape[0] and a[order]
-            counts = np.bincount(a, minlength=k).astype(np.int64)
-            sums = np.zeros((k, c.shape[1]), dtype=np.float64)
-            if order.shape[0]:
-                starts = np.flatnonzero(
-                    np.concatenate([[True], a_s[1:] != a_s[:-1]])
-                )
-                sums[a_s[starts]] = np.add.reduceat(mn[order], starts, axis=0)
-            return pa.table(
-                {
-                    "sums": pa.array([sums.ravel()], pa.list_(pa.float64())),
-                    "counts": pa.array([counts], pa.list_(pa.int64())),
-                }
-            )
-
-        def reduce_partials(batch: pa.Table) -> pa.Table:
-            """Fold a batch of (sums, counts) partial rows into one row."""
-            if batch.num_rows == 0:
-                return pa.table(
-                    {
-                        "sums": pa.array(
-                            [np.zeros(k * cent.shape[1], np.float64)],
-                            pa.list_(pa.float64()),
-                        ),
-                        "counts": pa.array(
-                            [np.zeros(k, np.int64)], pa.list_(pa.int64())
-                        ),
-                    }
-                )
-            s = np.asarray(batch["sums"].to_pylist(), np.float64).sum(axis=0)
-            c = np.asarray(batch["counts"].to_pylist(), np.int64).sum(axis=0)
-            return pa.table(
-                {
-                    "sums": pa.array([s], pa.list_(pa.float64())),
-                    "counts": pa.array([c], pa.list_(pa.int64())),
-                }
-            )
-
-        # one partial per BLOCK (batch_size=None), then a task-side reduce
-        # level folds them 16-ways before the driver sees anything — the
-        # driver holds O(k*d), not O(#blocks), partials at any corpus size
-        parts = (
-            ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-            .repartition(16)
-            .map_batches(reduce_partials, batch_format="pyarrow",
-                         batch_size=None)
-            .take_all()
-        )
-        sums = np.zeros((k, cent.shape[1]), dtype=np.float64)
-        counts = np.zeros(k, dtype=np.int64)
-        for p in parts:
-            sums += np.asarray(p["sums"], np.float64).reshape(k, -1)
-            counts += np.asarray(p["counts"], np.int64)
-        nz = counts > 0
-        new = cent.copy()
-        new[nz] = sums[nz] / counts[nz, None]
-        norms = np.linalg.norm(new, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        cent = new / norms
-    return cent
-
-
 def kmeans_topk_assignments(ds, centroids: np.ndarray, k: int = 2, *,
                             embedding_col: str = "embedding"):
     """Per-point top-k cluster assignments (vec_id, rank, cluster,
@@ -345,39 +237,6 @@ def kmeans_assignments(ds, centroids: np.ndarray, *,
         )
 
     return ds.map_batches(assign, batch_format="pyarrow")
-
-
-def cluster_label_vote(assignments, labels, *, min_count: int = 1):
-    """A6 KMeans-cluster majority label (reference __init__.py:2634-2679):
-    per cluster, the most frequent label (ties -> lexicographically
-    smallest), vote count and purity. assignments: (vec_id, cluster);
-    labels: (vec_id, label)."""
-    import pandas as pd
-
-    from fastdup_ray.relational.ops import hash_join
-
-    joined = hash_join(
-        assignments.select_columns(["vec_id", "cluster"]),
-        labels.rename_columns({"vec_id": "lvec"}),
-        on="vec_id", right_on="lvec",
-    )
-
-    def vote(df: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for cid, g in df.groupby("cluster", sort=False):
-            counts = g["label"].value_counts()
-            top = int(counts.max())
-            label = (
-                sorted(counts[counts == top].index)[0]
-                if top >= min_count
-                else "unknown"
-            )
-            rows.append((int(cid), label, top, top / len(g)))
-        return pd.DataFrame(
-            rows, columns=["cluster", "label", "votes", "purity"]
-        )
-
-    return partitioned_groupby(joined, "cluster", vote)
 
 
 def ivf_topk(assigned, centroids: np.ndarray, query_ids, query_matrix,

@@ -279,28 +279,3 @@ def component_info(labels):
         return g.rename(columns={"label": "component_id", "size": "count"})
 
     return partitioned_groupby(labels, "label", counts)
-
-
-def union_find_oracle(pairs) -> dict[int, int]:
-    """Dict-based union-find: node -> min-id component label. The tests'
-    oracle for connected_components() and min_label_components()."""
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        r = x
-        while parent.get(r, r) != r:
-            r = parent[r]
-        while parent.get(x, x) != x:
-            parent[x], x = r, parent[x]
-        return r
-
-    seen: set[int] = set()
-    for a, b in pairs:
-        a, b = int(a), int(b)
-        seen.add(a)
-        seen.add(b)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            lo, hi = (ra, rb) if ra < rb else (rb, ra)
-            parent[hi] = lo
-    return {x: find(x) for x in seen}

@@ -37,7 +37,6 @@ from __future__ import annotations
 import re
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from fastdup_ray.functions.hashing import id63

@@ -120,7 +120,6 @@ class TextStatsStage:
         whitespace split, numpy segment reductions for per-doc token
         aggregates (`_one` is the scalar reference implementation used by
         the parity test; semantics are identical)."""
-        import pandas as pd
         import pyarrow.compute as pc
 
         texts = batch["text"]

@@ -1,9 +1,11 @@
-"""Reference implementations of the native kernels
-(fastdup_ray/native/kernels.c): the bodies the engine ran before the C
-kernels replaced them. tests/test_kernel_properties.py checks the sign
-and verify kernels against the numpy ones bit for bit, and
-tests/test_extract.py the HTML text kernel against the stdlib
-`HTMLParser` extractor."""
+"""Reference implementations the tests check the engine against.
+
+The native kernels (fastdup_ray/native/kernels.c) have the bodies the
+engine ran before the C kernels replaced them:
+tests/test_kernel_properties.py checks the sign and verify kernels
+against the numpy ones bit for bit, and tests/test_extract.py the HTML
+text kernel against the stdlib `HTMLParser` extractor. Connected
+components have a dict-based union-find (`union_find_oracle`)."""
 
 from __future__ import annotations
 
@@ -198,3 +200,28 @@ def extract_text(html_bytes: bytes) -> tuple[str, str]:
     if not text:
         return "", "NO_TEXT"
     return text, ""
+
+
+def union_find_oracle(pairs) -> dict[int, int]:
+    """Dict-based union-find: node -> min-id component label. The
+    oracle for connected_components() and min_label_components()."""
+    parent: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        r = x
+        while parent.get(r, r) != r:
+            r = parent[r]
+        while parent.get(x, x) != x:
+            parent[x], x = r, parent[x]
+        return r
+
+    seen: set[int] = set()
+    for a, b in pairs:
+        a, b = int(a), int(b)
+        seen.add(a)
+        seen.add(b)
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            lo, hi = (ra, rb) if ra < rb else (rb, ra)
+            parent[hi] = lo
+    return {x: find(x) for x in seen}

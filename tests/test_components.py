@@ -7,6 +7,7 @@ import pyarrow as pa
 import ray.data as rd
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kernel_refs import union_find_oracle
 
 
 def _edges_table(pairs):
@@ -20,8 +21,7 @@ def _edges_table(pairs):
 def test_star_contraction_matches_union_find(ray_session):
     """connected_components_star == union-find oracle on random graphs
     (several densities/seeds), including duplicate and reversed edges."""
-    from fastdup_ray.stages.components import (
-        connected_components_star, union_find_oracle)
+    from fastdup_ray.stages.components import connected_components_star
 
     for seed, n, m in [(0, 50, 40), (1, 200, 150), (2, 300, 600)]:
         rng = np.random.default_rng(seed)
@@ -41,8 +41,7 @@ def test_star_contraction_log_rounds_on_path_graph(ray_session):
     of diameter n-1 (the worst case for any route whose round count
     grows with diameter, such as min-label propagation) converges in
     O(log n) alternating rounds."""
-    from fastdup_ray.stages.components import (
-        connected_components_star, union_find_oracle)
+    from fastdup_ray.stages.components import connected_components_star
 
     n = 2048
     rng = np.random.default_rng(7)
@@ -65,7 +64,7 @@ def test_cc_distributed_dispatch_and_empty(ray_session, monkeypatch):
     oracle's labels. Empty edge sets are fine."""
     from fastdup_ray.stages import components
     from fastdup_ray.stages.components import (
-        connected_components, connected_components_star, union_find_oracle)
+        connected_components, connected_components_star)
 
     pairs = [(1, 2), (2, 3), (10, 11), (5, 1)]
     calls = []
@@ -114,8 +113,7 @@ def test_min_label_components_matches_union_find(graph):
     component's minimum id, exactly as the dict union-find oracle does —
     on random graphs with self-loops and duplicate edges, on long path
     chains and on the empty graph."""
-    from fastdup_ray.stages.components import (
-        min_label_components, union_find_oracle)
+    from fastdup_ray.stages.components import min_label_components
 
     _, pairs = graph
     src = np.array([a for a, _ in pairs], np.int64)
@@ -131,8 +129,7 @@ def test_min_label_components_matches_union_find(graph):
 def test_driver_cc_route_matches_union_find(ray_session, graph):
     """connected_components below _DRIVER_MAX_EDGES == the union-find
     oracle over the non-self-loop edges, with rows sorted by node."""
-    from fastdup_ray.stages.components import (
-        connected_components, union_find_oracle)
+    from fastdup_ray.stages.components import connected_components
 
     _, pairs = graph
     got = connected_components(_edges_table(pairs))

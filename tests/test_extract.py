@@ -220,33 +220,3 @@ def test_pages_from_documents_shape():
     assert out["text"].to_pylist() == pages["text"].to_pylist()
     assert np.mean(out["is_valid"].to_pylist()) > 0.95
 
-
-def test_sync_to_local_partial_and_incremental(tmp_path):
-    """S5 sync source: pattern/cap filtering, tree preservation, and
-    size-based skip on re-sync (pyarrow.fs-generic; local FS here)."""
-    from fastdup_ray.sources.sync import list_files, sync_to_local
-
-    src = tmp_path / "bucket"
-    (src / "a").mkdir(parents=True)
-    (src / "b").mkdir()
-    (src / "a" / "x1.parquet").write_bytes(b"one")
-    (src / "a" / "x2.parquet").write_bytes(b"twotwo")
-    (src / "b" / "y.txt").write_bytes(b"nope")
-
-    listed = list_files(str(src), pattern=r"\.parquet$")
-    assert [p.split("/")[-1] for p in listed] == ["x1.parquet", "x2.parquet"]
-    assert len(list_files(str(src), pattern=r"\.parquet$", max_files=1)) == 1
-
-    dst = tmp_path / "cache"
-    got = sync_to_local(str(src), str(dst), pattern=r"\.parquet$")
-    assert [p.split("/")[-1] for p in got] == ["x1.parquet", "x2.parquet"]
-    assert (dst / "a" / "x1.parquet").read_bytes() == b"one"
-    # incremental: same-size files are not rewritten
-    m1 = (dst / "a" / "x1.parquet").stat().st_mtime_ns
-    got2 = sync_to_local(str(src), str(dst), pattern=r"\.parquet$")
-    assert got2 == got
-    assert (dst / "a" / "x1.parquet").stat().st_mtime_ns == m1
-    # changed size -> re-fetched
-    (src / "a" / "x1.parquet").write_bytes(b"one-changed")
-    sync_to_local(str(src), str(dst), pattern=r"\.parquet$")
-    assert (dst / "a" / "x1.parquet").read_bytes() == b"one-changed"

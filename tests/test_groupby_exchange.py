@@ -1,7 +1,8 @@
 """partitioned_groupby's hash exchange against a pandas groupby oracle:
 int, string and composite keys, 1-8 input blocks (some empty), 1-8
 partitions, empty input and a single shared key; and the exchange width
-rule."""
+rule. The shuffle-free combiner (`combine_aggregate`) against pandas, and
+the bounded-driver-memory quantile built on it."""
 
 import uuid
 from unittest import mock
@@ -101,3 +102,109 @@ def test_partitioned_groupby_uses_at_most_one_partition_per_input_block(ray_sess
         ds = rd.from_pandas([df.iloc[i::blocks] for i in range(blocks)])
         got = partitioned_groupby(ds, "k", _aggregator(["k"], "pandas")).to_pandas()
         assert len(got) == 300 and got["call"].nunique() <= calls
+
+
+def test_combine_aggregate_matches_pandas(ray_session):
+    """Map-side combiner + tree-reduce == plain pandas groupby, across
+    many blocks so the merge tree actually runs."""
+    import pandas as pd
+
+    from fastdup_ray.relational.ops import combine_aggregate
+
+    rng = np.random.default_rng(7)
+    df = pd.DataFrame(
+        {
+            "k": rng.integers(0, 37, size=5000),
+            "v": rng.integers(-100, 100, size=5000),
+        }
+    )
+    ds = rd.from_pandas(df).repartition(23)
+
+    def partial(b: pd.DataFrame) -> pd.DataFrame:
+        return b.groupby("k", as_index=False, sort=False).agg(
+            s=("v", "sum"), n=("v", "size")
+        )
+
+    got = (
+        combine_aggregate(ds, "k", partial)
+        .to_pandas()
+        .sort_values("k")
+        .reset_index(drop=True)
+    )
+    want = (
+        df.groupby("k", as_index=False).agg(s=("v", "sum"), n=("v", "size"))
+        .sort_values("k")
+        .reset_index(drop=True)
+    )
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
+def test_combine_aggregate_custom_merge_minmax(ray_session):
+    import pandas as pd
+
+    from fastdup_ray.relational.ops import combine_aggregate
+
+    df = pd.DataFrame({"k": [0, 0, 1, 1, 1], "v": [5, -3, 10, 2, 7]})
+    ds = rd.from_pandas(df).repartition(3)
+
+    def partial(b):
+        return b.groupby("k", as_index=False, sort=False).agg(
+            mn=("v", "min"), mx=("v", "max")
+        )
+
+    def merge(b):
+        return b.groupby("k", as_index=False, sort=False).agg(
+            mn=("mn", "min"), mx=("mx", "max")
+        )
+
+    got = combine_aggregate(ds, "k", partial, merge).to_pandas()
+    got = got.sort_values("k").reset_index(drop=True)
+    assert got["mn"].tolist() == [-3, 2]
+    assert got["mx"].tolist() == [5, 10]
+
+
+def test_distinct_value_quantile_bounded(ray_session):
+    """A7 quantile contract: exact under the distinct budget, fixed-grid
+    histogram above it with driver rows <= budget and threshold within
+    one bin width of the true quantile (neardup outliers' scale path)."""
+    from fastdup_ray.relational.ops import distinct_value_quantile
+
+    # exact path: small distinct set, threshold = smallest v with
+    # cumfrac >= q (ties and duplicates included)
+    vals = [0.1] * 10 + [0.2] * 30 + [0.5] * 60
+    ds = rd.from_arrow(
+        pa.table({"distance": pa.array(vals, pa.float64())})
+    ).repartition(4)
+    thr, diag = distinct_value_quantile(ds, "distance", 0.05,
+                                        distinct_budget=1000)
+    assert diag["mode"] == "exact" and thr == 0.1
+    thr, _ = distinct_value_quantile(ds, "distance", 0.3, distinct_budget=1000)
+    assert thr == 0.2
+
+    # grid path: 2,000,000 DISTINCT distances >> budget; driver holds at
+    # most `budget` histogram rows, threshold within one bin of truth
+    n, budget = 2_000_000, 50_000
+    import pyarrow.compute as pc
+
+    base = rd.range(n, override_num_blocks=16)
+    dist = base.map_batches(
+        lambda b: pa.table(
+            {"distance": pc.divide(pc.cast(b["id"], pa.float64()), float(n))}
+        ),
+        batch_format="pyarrow",
+    ).materialize()
+    q = 0.05
+    thr, diag = distinct_value_quantile(
+        dist, "distance", q, distinct_budget=budget, grid=(0.0, 1.0)
+    )
+    assert diag["mode"] == "grid"
+    assert diag["rows_collected"] <= budget  # driver memory bound
+    tol = 1.0 / budget
+    assert q - 1e-12 <= thr <= q + tol + 1e-9, thr
+    # never under-selects: fraction(<= thr) >= q
+    sel = dist.map_batches(
+        lambda b: b.filter(pc.less_equal(b["distance"], pa.scalar(thr))),
+        batch_format="pyarrow",
+    ).count()
+    assert sel / n >= q
+    assert sel / n <= q + 2 * tol

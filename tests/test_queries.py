@@ -53,7 +53,6 @@ CHECKED = [
     "pii_redact",
     "shuffle_positions",
     "vocab_topk",
-    "substring_dup_pairs_winnow",
     "doc_chunks",
     "lm_cross_entropy",
     "doc_embeddings",
