@@ -664,7 +664,7 @@ def q_embedding_lsh_pairs(sf_dir: str, threshold: float = 0.9):
     these fixtures (max pairwise cosine ~0.51, no pairs at 0.9) it
     verifies the no-false-positives half with an empty expected set.
     The recall half is pytest-gated on planted near-dup vectors
-    (tests/test_search_ann.py::test_srp_lsh_recall_vs_exact, >= 0.95 at
+    (tests/test_round3.py::test_srp_lsh_recall_vs_exact, >= 0.95 at
     cos 0.9 with 16 bands x 8 bits)."""
     from fastdup_ray.stages.ann import srp_lsh_dup_pairs
 
@@ -3020,7 +3020,7 @@ def q_heavy_hitters(sf_dir: str, capacity: int = 1 << 15, k: int = 50):
     count) no reduction fires, counts are exact and the SQL twin pins
     them; the approximation guarantee at small capacity
     (c_hat <= c <= c_hat + N/(cap+1)) is pytest-gated in
-    tests/test_lm.py."""
+    tests/test_round4b.py."""
     from fastdup_ray.stages.lm import _token_regions
     from fastdup_ray.stages.sketches import misra_gries_counts
 

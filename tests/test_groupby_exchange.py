@@ -1,8 +1,7 @@
 """partitioned_groupby's hash exchange against a pandas groupby oracle:
 int, string and composite keys, 1-8 input blocks (some empty), 1-8
-partitions, empty input and a single shared key; and the exchange width
-rule. The shuffle-free combiner (`combine_aggregate`) against pandas, and
-the bounded-driver-memory quantile built on it."""
+partitions, empty input and a single shared key; the exchange width
+rule; and the bounded-driver-memory quantile built on `combine_aggregate`."""
 
 import uuid
 from unittest import mock
@@ -102,65 +101,6 @@ def test_partitioned_groupby_uses_at_most_one_partition_per_input_block(ray_sess
         ds = rd.from_pandas([df.iloc[i::blocks] for i in range(blocks)])
         got = partitioned_groupby(ds, "k", _aggregator(["k"], "pandas")).to_pandas()
         assert len(got) == 300 and got["call"].nunique() <= calls
-
-
-def test_combine_aggregate_matches_pandas(ray_session):
-    """Map-side combiner + tree-reduce == plain pandas groupby, across
-    many blocks so the merge tree actually runs."""
-    import pandas as pd
-
-    from fastdup_ray.relational.ops import combine_aggregate
-
-    rng = np.random.default_rng(7)
-    df = pd.DataFrame(
-        {
-            "k": rng.integers(0, 37, size=5000),
-            "v": rng.integers(-100, 100, size=5000),
-        }
-    )
-    ds = rd.from_pandas(df).repartition(23)
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        return b.groupby("k", as_index=False, sort=False).agg(
-            s=("v", "sum"), n=("v", "size")
-        )
-
-    got = (
-        combine_aggregate(ds, "k", partial)
-        .to_pandas()
-        .sort_values("k")
-        .reset_index(drop=True)
-    )
-    want = (
-        df.groupby("k", as_index=False).agg(s=("v", "sum"), n=("v", "size"))
-        .sort_values("k")
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(got, want, check_dtype=False)
-
-
-def test_combine_aggregate_custom_merge_minmax(ray_session):
-    import pandas as pd
-
-    from fastdup_ray.relational.ops import combine_aggregate
-
-    df = pd.DataFrame({"k": [0, 0, 1, 1, 1], "v": [5, -3, 10, 2, 7]})
-    ds = rd.from_pandas(df).repartition(3)
-
-    def partial(b):
-        return b.groupby("k", as_index=False, sort=False).agg(
-            mn=("v", "min"), mx=("v", "max")
-        )
-
-    def merge(b):
-        return b.groupby("k", as_index=False, sort=False).agg(
-            mn=("mn", "min"), mx=("mx", "max")
-        )
-
-    got = combine_aggregate(ds, "k", partial, merge).to_pandas()
-    got = got.sort_values("k").reset_index(drop=True)
-    assert got["mn"].tolist() == [-3, 2]
-    assert got["mx"].tolist() == [5, 10]
 
 
 def test_distinct_value_quantile_bounded(ray_session):

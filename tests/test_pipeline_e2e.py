@@ -3,15 +3,13 @@
 Oracle: O(n^2) exact char-5-gram Jaccard over all valid docs + driver
 union-find at cc_threshold. Checks the north-rule criteria: dup-pair
 recall >= 0.99 at the same shingle/signature config, identical component
-partition, keep-one-per-component policy, resumability; and the
-extension hooks (post_extract, pre_components).
+partition, keep-one-per-component policy, resumability.
 """
 
 import itertools
 import os
 
 import numpy as np
-import pyarrow as pa
 import pytest
 
 import ray.data as rd
@@ -228,44 +226,3 @@ def test_outputs_invariant_to_exchange_width(ray_session, oracle, tmp_path_facto
     for width in (1, 3):
         monkeypatch.setattr(ops, "exchange_width", lambda n, w=width: w)
         assert tables(f"width-{width}") == derived, width
-
-
-def test_pipeline_hooks(ray_session, tmp_path):
-    """§2.12 extension hooks: post_extract runs inside the docs stage
-    (and checkpoints with it), pre_components filters edges before CC,
-    and the hooks token keys resume fingerprints."""
-    import pyarrow.compute as pc
-
-    from fastdup_ray.pipelines.neardup import NearDupPipeline
-    from fastdup_ray.sources.pages import synthesize_pages
-
-    pages, _ = synthesize_pages(200, seed=7)
-    wd = str(tmp_path / "wd")
-
-    def drop_fr(ds):
-        return ds.map_batches(
-            lambda b: b.filter(pc.not_equal(b["lang"], pa.scalar("fr"))),
-            batch_format="pyarrow",
-        )
-
-    base = NearDupPipeline(DedupConfig(), work_dir=wd).run(
-        rd.from_arrow(pages).repartition(4), input_token="hooks-t")
-    n_base = base.docs().count()
-    n_fr = base.docs().filter(lambda r: r["lang"] == "fr").count()
-
-    hooked = NearDupPipeline(
-        DedupConfig(), work_dir=wd, hooks={"post_extract": drop_fr},
-    ).run(rd.from_arrow(pages).repartition(4), input_token="hooks-t")
-    assert hooked.docs().count() == n_base - n_fr
-    assert hooked.docs().filter(lambda r: r["lang"] == "fr").count() == 0
-    # different hooks -> different fingerprint -> base checkpoint untouched
-    again = NearDupPipeline(DedupConfig(), work_dir=wd).run(
-        rd.from_arrow(pages).repartition(4), input_token="hooks-t")
-    assert again.docs().count() == n_base
-
-    # pre_components: drop every edge -> no components
-    none = NearDupPipeline(
-        DedupConfig(), work_dir=str(tmp_path / "wd2"),
-        hooks={"pre_components": lambda ds: ds.limit(0)},
-    ).run(rd.from_arrow(pages).repartition(4), input_token="hooks-t2")
-    assert none.connected_components().count() == 0

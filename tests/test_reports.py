@@ -1,6 +1,4 @@
-"""Keep policies, outliers, domain summary, HTML report, galleries and
-the classification report; one run's checkpoints through a file:// URI
-work_dir."""
+"""Keep policies, outliers, domain summary, HTML report."""
 
 import os
 
@@ -81,144 +79,3 @@ def test_domain_summary_and_html(run, tmp_path):
     assert "fastdup_ray run report" in html
     assert "Top duplicate edges" in html
     assert os.path.getsize(path) > 500
-
-
-def test_classification_report(ray_session):
-    from fastdup_ray.stages.metrics import classification_report
-
-    preds = rd.from_arrow(
-        pa.table(
-            {
-                "label": pa.array(["a", "a", "a", "b", "b", "c"]),
-                "pred": pa.array(["a", "a", "b", "b", "a", "c"]),
-            }
-        )
-    )
-    rep = classification_report(preds).to_pandas().set_index("class")
-    # hand-computed: a: tp=2 fp=1 fn=1 -> p=2/3 r=2/3; b: tp=1 fp=1 fn=1 -> .5/.5
-    assert abs(rep.loc["a", "precision"] - 2 / 3) < 1e-6
-    assert abs(rep.loc["a", "recall"] - 2 / 3) < 1e-6
-    assert abs(rep.loc["b", "f1"] - 0.5) < 1e-6
-    assert rep.loc["c", "precision"] == 1.0 and rep.loc["c", "support"] == 1
-    assert abs(rep["accuracy"].iloc[0] - 4 / 6) < 1e-6
-
-
-@pytest.fixture(scope="module")
-def r2_run(ray_session, tmp_path_factory):
-    from fastdup_ray.pipelines.neardup import NearDupPipeline
-    from fastdup_ray.sources.pages import synthesize_pages
-
-    pages, truth = synthesize_pages(600, seed=5)
-    work = tmp_path_factory.mktemp("r2work")
-    # file:// URI work_dir exercises the pyarrow.fs checkpoint path
-    pipe = NearDupPipeline(DedupConfig(), work_dir=f"file://{work}")
-    res = pipe.run(rd.from_arrow(pages).repartition(4), input_token="r2", resume=False)
-    return {"res": res, "truth": truth, "work": str(work), "pipe": pipe}
-
-
-def test_file_uri_workdir_and_resume(r2_run):
-    import json
-    import os
-
-    work = r2_run["work"]
-    man = json.load(open(os.path.join(work, "docs", "manifest.json")))
-    assert man["rows"] > 0 and man["fingerprint"]
-    assert os.path.isdir(os.path.join(work, "docs", man["data_dir"]))
-    # resume through the file:// FS: same fingerprint -> checkpoint read
-    # back without running the build
-    from fastdup_ray.pipelines.neardup import NearDupPipeline
-
-    pipe2 = NearDupPipeline(r2_run["pipe"].cfg, work_dir=f"file://{work}")
-
-    def must_not_build():
-        raise AssertionError("build must not run on resume")
-
-    # run() keys the docs fingerprint on [input_token, hooks_token]
-    ds, fp = pipe2._stage(
-        "docs", ["r2", pipe2.hooks_token], must_not_build, resume=True)
-    assert fp == man["fingerprint"]
-    assert ds.count() == man["rows"]
-
-
-def test_outliers_schema_and_zero_candidate_docs(r2_run):
-    res = r2_run["res"]
-    out = res.outliers().take_all()
-    assert out, "outliers must not be empty on a corpus with unmatched docs"
-    cols = set(out[0].keys())
-    assert cols == {"src", "dst", "distance"}
-    # zero-candidate docs present with null neighbor and distance 0
-    unmatched = [r for r in out if r["dst"] is None]
-    assert unmatched and all(r["distance"] == 0.0 for r in unmatched)
-    # scored outliers keep their true nearest neighbor
-    scored = [r for r in out if r["dst"] is not None]
-    if scored:
-        pairs = res.pair_scores().take_all()
-        best = {}
-        for p in pairs:
-            for a, b in ((p["src"], p["dst"]), (p["dst"], p["src"])):
-                cur = best.get(a)
-                cand = (p["distance"], b)
-                if cur is None or cand[0] > cur[0] or (
-                    cand[0] == cur[0] and cand[1] < cur[1]
-                ):
-                    best[a] = cand
-        for r in scored:
-            assert best[r["src"]] == (r["distance"], r["dst"])
-
-
-def test_galleries(r2_run, tmp_path):
-    from fastdup_ray.pipelines.galleries import (
-        components_gallery,
-        duplicates_gallery,
-        outliers_gallery,
-        similarity_gallery,
-        stats_gallery,
-        write_all_galleries,
-    )
-
-    res = r2_run["res"]
-    dup = duplicates_gallery(res, 10)
-    assert len(dup) > 0 and (dup["distance"] >= 0.9).all()
-    assert (dup["src_text"].str.len() > 0).all()
-    # diff highlight: present for every row; empty exactly when the two
-    # snippets agree byte-for-byte, '@<off>: ...' pinpointing otherwise
-    assert "diff_snippet" in dup.columns
-    same = dup["src_text"] == dup["dst_text"]
-    assert (dup.loc[same, "diff_snippet"] == "").all()
-    assert dup.loc[~same, "diff_snippet"].str.match(r"@\d+: ").all()
-    comp = components_gallery(res, 10)
-    assert len(comp) > 0 and (comp["len"] >= 2).all()
-    outl = outliers_gallery(res, 10)
-    assert len(outl) > 0
-    stat = stats_gallery(res, "n_chars", 5)
-    assert len(stat) == 5 and stat["n_chars"].is_monotonic_decreasing
-    sim = similarity_gallery(res, 5)
-    assert len(sim) > 0 and all(len(x) >= 1 for x in sim["neighbor_ids"])
-    made = write_all_galleries(res, str(tmp_path / "gal"), num_rows=5)
-    import os
-
-    assert all(os.path.exists(p) for p in made.values())
-
-
-def test_snippet_diff_properties():
-    """diff is '' iff the snippets are byte-equal; otherwise it names
-    the first divergence offset."""
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
-    from fastdup_ray.pipelines.galleries import _snippet_diff
-
-    @settings(max_examples=80, deadline=None)
-    @given(st.text(alphabet="abX ", max_size=12),
-           st.text(alphabet="abX ", max_size=12))
-    def run(a, b):
-        d = _snippet_diff(a, b)
-        if a == b:
-            assert d == ""
-        else:
-            assert d.startswith("@")
-            off = int(d[1:].split(":", 1)[0])
-            assert a[:off] == b[:off]
-            assert off == len(a) or off == len(b) or a[off] != b[off]
-
-    run()

@@ -218,75 +218,6 @@ def test_galleries(r2_run, tmp_path):
     assert all(os.path.exists(p) for p in made.values())
 
 
-def test_slice_regex_and_two_labels(ray_session):
-    from fastdup_ray.stages.annotations import slice_by_label, slice_two_labels
-
-    ds = rd.from_arrow(
-        pa.table(
-            {
-                "url": pa.array(["http://a.com/x", "https://b.org/y", "http://c.com/z"]),
-                "lang": pa.array(["en", "de", "en"]),
-                "lang_nb": pa.array(["en", "en", "de"]),
-            }
-        )
-    )
-    got = slice_by_label(ds, "url", r"^https://", mode="regex").take_all()
-    assert [r["url"] for r in got] == ["https://b.org/y"]
-    same = slice_two_labels(ds, "lang", "lang_nb", mode="same").take_all()
-    assert [r["url"] for r in same] == ["http://a.com/x"]
-    diff = slice_two_labels(ds, "lang", "lang_nb", mode="diff").take_all()
-    assert len(diff) == 2
-
-
-def test_multimodal_plumbing(ray_session):
-    """Stubbed codec, real plumbing: schema, error codes, determinism,
-    actor-pool form, frame explosion, byte-identical near-dup pairing."""
-    from fastdup_ray.stages.multimodal import (
-        ERR_EMPTY_MEDIA,
-        FrameSampleStage,
-        MediaDecodeStage,
-        media_near_dup_pairs,
-    )
-
-    rng = np.random.default_rng(2)
-    blobs = [rng.bytes(500) for _ in range(10)]
-    payloads = blobs + [blobs[0], b""]  # one exact dup + one empty
-    tbl = pa.table(
-        {
-            "media_id": pa.array(range(len(payloads)), pa.int64()),
-            "payload": pa.array(payloads, pa.binary()),
-        }
-    )
-    ds = rd.from_arrow(tbl).repartition(3)
-    # actor-pool form: callable CLASS + concurrency
-    decoded = ds.map_batches(
-        MediaDecodeStage, batch_format="pyarrow", batch_size=4, concurrency=2
-    ).materialize()
-    rows = {r["media_id"]: r for r in decoded.take_all()}
-    assert len(rows) == len(payloads)
-    empty = rows[len(payloads) - 1]
-    assert not empty["is_valid"] and empty["error_code"] == ERR_EMPTY_MEDIA
-    dup, orig = rows[10], rows[0]
-    assert dup["is_valid"] and list(dup["feature"]) == list(orig["feature"])
-    assert len(orig["feature"]) == 64
-    assert abs(np.linalg.norm(np.asarray(orig["feature"])) - 1.0) < 1e-9
-
-    frames = decoded.map_batches(
-        FrameSampleStage(max_frames=4), batch_format="pyarrow"
-    ).take_all()
-    per_media = {}
-    for f in frames:
-        per_media.setdefault(f["media_id"], []).append(f["frame_no"])
-    assert len(per_media[0]) == min(rows[0]["n_frames"], 4)
-    assert sorted(per_media[0]) == list(range(len(per_media[0])))
-    assert empty["media_id"] not in per_media  # invalid rows emit no frames
-
-    pairs = media_near_dup_pairs(decoded).take_all()
-    assert any(
-        {p["src"], p["dst"]} == {0, 10} and p["distance"] == 1.0 for p in pairs
-    )
-
-
 def test_cosine_dup_pairs_exact_oracle(ray_session):
     """Blocked all-pairs embedding-cosine dedup == dense numpy oracle,
     including across-block pairs (forced small blocks)."""
@@ -401,11 +332,9 @@ def test_pipeline_hooks(ray_session, tmp_path):
     assert none.connected_components().count() == 0
 
 
-def test_url_normalizers(ray_session):
+def test_url_normalizers():
     """M11 normalizer library: canonical forms, domains, stems."""
-    from fastdup_ray.functions.urls import (
-        add_url_columns, domain_of, normalize_urls, path_stem,
-    )
+    from fastdup_ray.functions.urls import domain_of, normalize_urls, path_stem
 
     urls = pa.array([
         "HTTPS://Example.COM:443//a//b/page.HTML?utm_source=x&id=3#frag",
@@ -422,27 +351,6 @@ def test_url_normalizers(ray_session):
     assert domain_of(urls).to_pylist()[:4] == [
         "example.com", "site.org", "site.org", "h.net"]
     assert path_stem(urls).to_pylist()[3] == "file.tar"
-
-    ds = rd.from_arrow(pa.table({"url": urls}))
-    out = add_url_columns(ds).to_pandas()
-    assert list(out.columns) == ["url", "url_norm", "domain", "stem"]
-    assert out["domain"].iloc[0] == "example.com"
-
-
-def test_export_projector(ray_session, tmp_path):
-    """O6 projector export: sampled vectors.tsv + metadata.tsv."""
-    from fastdup_ray.pipelines.sinks import export_projector
-
-    ds = rd.read_parquet("/root/testdata/sf0.001/embeddings.parquet")
-    out = export_projector(ds, str(tmp_path / "proj"), max_rows=40,
-                           label_col="label")
-    assert out["rows"] == 40
-    vecs = open(out["vectors"]).read().strip().split("\n")
-    meta = open(out["metadata"]).read().strip().split("\n")
-    assert len(vecs) == 40 and len(meta) == 41  # header + rows
-    assert meta[0] == "vec_id\tlabel"
-    dims = {len(v.split("\t")) for v in vecs}
-    assert len(dims) == 1  # constant dimensionality
 
 
 def test_snippet_diff_properties():
@@ -467,45 +375,3 @@ def test_snippet_diff_properties():
             assert off == len(a) or off == len(b) or a[off] != b[off]
 
     run()
-
-
-def test_export_projector_sprite(ray_session, tmp_path):
-    """r5 K7 completion: sprite.ppm sheet of per-doc text thumbnails,
-    tile order == vector order, decodable by the shipped P6 codec."""
-    import numpy as np
-
-    from fastdup_ray.pipelines.sinks import export_projector
-    from fastdup_ray.stages.multimodal import (ppm_decode, ppm_encode,
-                                               text_thumbnail)
-
-    # codec roundtrip
-    tile = text_thumbnail("def f(x):\n    return X * 42  # ok", 16)
-    assert tile.shape == (16, 16, 3) and tile.dtype == np.uint8
-    d = ppm_decode(ppm_encode(tile))
-    assert (d["width"], d["height"]) == (16, 16)
-    # deterministic and class-sensitive: same text -> same raster,
-    # different class mix -> different raster
-    assert np.array_equal(tile, text_thumbnail("def f(x):\n    return X * 42  # ok", 16))
-    assert not np.array_equal(tile, text_thumbnail("ALL UPPER CASE TEXT", 16))
-
-    docs = rd.read_parquet("/root/testdata/sf0.001/documents.parquet") \
-        .map_batches(lambda b: b.select(["doc_id", "text"])
-                     .rename_columns(["vec_id", "text"])
-                     .append_column("embedding", b["doc_id"].cast("float64")),
-                     batch_format="pyarrow")
-
-    def listify(b):
-        import pyarrow as pa
-        return pa.table({
-            "vec_id": b["vec_id"],
-            "text": b["text"],
-            "embedding": pa.array([[float(x)] for x in b["embedding"].to_pylist()]),
-        })
-
-    out = export_projector(docs.map_batches(listify, batch_format="pyarrow"),
-                           str(tmp_path / "spr"), max_rows=10,
-                           sprite_text_col="text", sprite_cell=8)
-    assert out["rows"] == 10 and out["sprite_cell"] == 8
-    dec = ppm_decode(open(out["sprite"], "rb").read())
-    grid = int(np.ceil(np.sqrt(10)))  # 4x4 grid of 8px tiles
-    assert (dec["width"], dec["height"]) == (grid * 8, grid * 8)

@@ -85,53 +85,6 @@ def test_search_index_persist_and_reload(ray_session, tmp_path):
             ray.kill(a)
 
 
-# ------------------------------------------------------- distributed KMeans
-def test_train_kmeans_matches_driver_oracle(ray_session):
-    """Distributed full-EM Lloyd (map_batches partial sums) must match a
-    driver-side full-data Lloyd from the same seeded init."""
-    from fastdup_ray.stages.ann import (
-        _matrix,
-        _normalize,
-        kmeans_assignments,
-        kmeans_topk_assignments,
-        train_ivf_centroids,
-        train_kmeans,
-    )
-
-    ds = rd.read_parquet("/root/testdata/sf0.001/embeddings.parquet").repartition(6)
-    k, iters = 8, 7
-    cent = train_kmeans(ds, k, iters=iters, seed=42)
-
-    # driver-side oracle: same init, same spherical Lloyd over ALL rows
-    rows = ds.take_all()
-    ids = np.array([r["vec_id"] for r in rows], np.int64)
-    m = _normalize(np.stack([np.asarray(r["embedding"], np.float64) for r in rows]))
-    oracle = train_ivf_centroids(ds, k, iters=0, seed=42)
-    for _ in range(iters):
-        a = (m @ oracle.T).argmax(axis=1)
-        new = oracle.copy()
-        for c in range(k):
-            sel = a == c
-            if sel.any():
-                new[c] = m[sel].mean(axis=0)
-        norms = np.linalg.norm(new, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        oracle = new / norms
-    assert np.allclose(cent, oracle, rtol=1e-9, atol=1e-12)
-
-    # top-k artifact: rank 0 equals the argmax assignment everywhere
-    top = kmeans_topk_assignments(ds, cent, k=3).take_all()
-    argmax = {r["vec_id"]: r["cluster"] for r in kmeans_assignments(
-        ds, cent).take_all()}
-    seen = set()
-    for r in top:
-        assert 0 <= r["rank"] < 3
-        if r["rank"] == 0:
-            assert argmax[r["vec_id"]] == r["cluster"]
-            seen.add(r["vec_id"])
-    assert seen == set(ids.tolist())
-
-
 def test_combine_aggregate_matches_pandas(ray_session):
     """Map-side combiner + tree-reduce == plain pandas groupby, across
     many blocks so the merge tree actually runs."""

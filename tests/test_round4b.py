@@ -194,69 +194,3 @@ def test_nb_classifier_separates_planted_classes(ray_session):
     # the mislabeled mixed doc is recovered as A by content
     assert out.loc[16, "pred"] == "A"
     assert np.isfinite(out.score).all()
-
-
-def _ref_bpe_merges(texts, n_merges):
-    """Independent reference BPE (different code path from stages/bpe.py:
-    operates on the raw token stream, no word-count table)."""
-    words = [w for t in texts for w in t.split(" ")]
-    seqs = [list(w) + ["</w>"] for w in words]
-    merges = []
-    for _ in range(n_merges):
-        pc_ = {}
-        for s in seqs:
-            for i in range(len(s) - 1):
-                pc_[(s[i], s[i + 1])] = pc_.get((s[i], s[i + 1]), 0) + 1
-        if not pc_:
-            break
-        (a, b), cnt = min(pc_.items(), key=lambda kv: (-kv[1], kv[0]))
-        merges.append((a, b, cnt))
-        for s in seqs:
-            i = 0
-            while i < len(s) - 1:
-                if s[i] == a and s[i + 1] == b:
-                    s[i:i + 2] = [a + b]
-                else:
-                    i += 1
-    return merges, seqs
-
-
-def test_bpe_matches_reference_and_split_invariant(ray_session):
-    """Distributed train_bpe == stream-level reference BPE (merge list,
-    counts and per-doc subword totals), identical at any block split."""
-    from fastdup_ray.stages.bpe import bpe_subword_counts, train_bpe
-
-    rng = np.random.default_rng(17)
-    base = ["lower", "lowest", "newer", "newest", "wider", "widest",
-            "low", "new", "wide", "deduplication"]
-    texts = [" ".join(rng.choice(base, size=12)) for _ in range(30)]
-    ref_merges, ref_seqs = _ref_bpe_merges(texts, 12)
-
-    outs = []
-    for parts in (1, 9):
-        ds = _docs_ds(texts).repartition(parts)
-        merges, wt = train_bpe(ds, 12, max_word_types=1024)
-        assert merges == ref_merges, (merges, ref_merges)
-        enc = bpe_subword_counts(ds, n_merges=12).to_pandas()
-        outs.append(enc.sort_values("doc_id").reset_index(drop=True))
-    pd.testing.assert_frame_equal(outs[0], outs[1])
-    # per-doc subword totals equal the reference stream encoding
-    it = iter(ref_seqs)
-    for doc_id, t in enumerate(texts):
-        n = len(t.split(" "))
-        total = sum(len(next(it)) for _ in range(n))
-        row = outs[0].iloc[doc_id]
-        assert row.n_words == n and row.n_subwords == total
-
-
-def test_bpe_merges_compress(ray_session):
-    """More merges never increase any doc's subword count, and the first
-    merge is the corpus's most frequent character pair."""
-    from fastdup_ray.stages.bpe import bpe_subword_counts
-
-    texts = ["the theme thesis then " * 3] * 5
-    a = bpe_subword_counts(_docs_ds(texts), n_merges=0).to_pandas()
-    b = bpe_subword_counts(_docs_ds(texts), n_merges=30).to_pandas()
-    m = a.merge(b, on="doc_id", suffixes=("_0", "_30"))
-    assert (m.n_subwords_30 <= m.n_subwords_0).all()
-    assert (m.n_subwords_30 < m.n_subwords_0).any()

@@ -1,8 +1,6 @@
 """Deterministic hash sampling: parallelism invariance + exact-N
-semantics (oracle hash-match lives in test_queries.py); the leakage-safe
-train/test split by component hash."""
+semantics (oracle hash-match lives in test_queries.py)."""
 
-import numpy as np
 import ray.data as rd
 
 from fastdup_ray.stages.sample import hash_sample, stratified_fixed_n
@@ -86,33 +84,3 @@ def test_fixed_n_negative_doc_ids_match_pandas_oracle(ray_session):
     df = pd.DataFrame({"g": langs, "h": h.astype(np.int64), "key": ids})
     want = sorted(ids[_pandas_top_n(df, 25)].tolist())
     assert sorted(r["doc_id"] for r in got) == want
-
-
-def test_leakage_safe_split_invariants(ray_session):
-    """No component straddles train/test; expected test fraction ~=
-    test_mod/mod for uniform-hash component ids."""
-    import pandas as pd
-
-    from fastdup_ray.stages.splits import leakage_safe_split
-
-    rng = np.random.default_rng(17)
-    # component ids that look like doc ids: uniform 63-bit hashes
-    comp_ids = rng.integers(0, 2**63 - 1, 500)
-    rows = []
-    did = 0
-    for c in comp_ids:
-        for _ in range(int(rng.integers(1, 5))):
-            rows.append({"doc_id": did, "component_id": int(c)})
-            did += 1
-    ds = rd.from_pandas(pd.DataFrame(rows)).repartition(7)
-
-    out = leakage_safe_split(ds).to_pandas()
-    assert set(out["split"].unique()) <= {"train", "test"}
-    # every component entirely on one side
-    sides = out.groupby("component_id")["split"].nunique()
-    assert (sides == 1).all()
-    # expected fraction 0.2 of COMPONENTS, tolerance for 500 draws
-    frac = (
-        out.drop_duplicates("component_id")["split"].eq("test").mean()
-    )
-    assert 0.1 < frac < 0.3, frac

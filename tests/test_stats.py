@@ -1,7 +1,5 @@
-"""TextStatsStage unit tests: metric definitions, language ID heuristic
-and the vectorized stage against its scalar reference."""
+"""TextStatsStage unit tests: metric definitions + language ID heuristic."""
 
-import numpy as np
 import pyarrow as pa
 
 from fastdup_ray.stages.stats import TextStatsStage
@@ -55,34 +53,3 @@ def test_quality_scores_ordered():
     repetitive = "spam " * 200
     rows = _stats([good, repetitive.strip()])
     assert rows[0]["quality"] > rows[1]["quality"]
-
-
-def test_stats_vectorized_matches_scalar_reference():
-    from fastdup_ray.stages.stats import TextStatsStage
-
-    st = TextStatsStage()
-    rng = np.random.default_rng(11)
-    words = ["the", "cat", "123", "ünïté", "于", "der", "la", "data", "of"]
-    texts = ["", "  spaced   out  ", "这是中文测试" * 10, None, "x"]
-    texts += [
-        " ".join(rng.choice(words, size=rng.integers(0, 50)))
-        for _ in range(150)
-    ]
-    batch = pa.table(
-        {
-            "doc_id": pa.array(range(len(texts)), pa.int64()),
-            "text": pa.array(texts, pa.string()),
-        }
-    )
-    out = st(batch).to_pandas()
-    names = ["n_chars", "n_tokens", "n_lines", "uniq_token_ratio",
-             "mean_word_len", "digit_ratio", "non_ascii_ratio",
-             "stopword_ratio", "lang_pred", "lang_score", "quality"]
-    for i, t in enumerate(texts):
-        ref = st._one(t or "")
-        for j, nm in enumerate(names):
-            got = out[nm][i]
-            if isinstance(ref[j], str):
-                assert got == ref[j], (i, nm)
-            else:
-                assert abs(float(got) - round(float(ref[j]), 6)) < 1e-9, (i, nm)
